@@ -8,6 +8,7 @@ package caliqec
 import (
 	"bytes"
 	"caliqec/internal/analysis"
+	"caliqec/internal/circuit"
 	"caliqec/internal/code"
 	"caliqec/internal/decoder"
 	"caliqec/internal/deform"
@@ -107,18 +108,53 @@ func BenchmarkFrameSampler(b *testing.B) {
 	b.ReportMetric(float64(shotsPerOp)*float64(b.N)/b.Elapsed().Seconds(), "shots/s")
 }
 
-// BenchmarkDEMExtraction measures circuit→DEM lowering for a d=5 circuit.
+// BenchmarkDEMExtraction measures circuit→DEM lowering: a d=5 memory
+// circuit, the calibration timelines of the calib-cycle workload
+// (pristine → centre data qubit isolated → reintegrated, 3 rounds per
+// epoch) on square d=5 and heavy-hex d=3, and the d=13 memory circuit the
+// fleet soak serves.
 func BenchmarkDEMExtraction(b *testing.B) {
-	p := memoryCircuit(b, 5)
-	c, err := p.MemoryCircuit(code.MemoryOptions{Rounds: 5, Basis: lattice.BasisZ, Noise: code.UniformNoise(1e-3)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dem.FromCircuit(c); err != nil {
-			b.Fatal(err)
+	memory := func(d int) func() (*circuit.Circuit, error) {
+		return func() (*circuit.Circuit, error) {
+			return memoryCircuit(b, d).MemoryCircuit(code.MemoryOptions{Rounds: d, Basis: lattice.BasisZ, Noise: code.UniformNoise(1e-3)})
 		}
+	}
+	timeline := func(lat func() *lattice.Lattice) func() (*circuit.Circuit, error) {
+		return func() (*circuit.Circuit, error) {
+			l := lat()
+			df := deform.NewDeformer(code.NewPatch(l))
+			if _, err := df.IsolateQubit(l.DataID[[2]int{l.Rows / 2, l.Cols / 2}], "cal"); err != nil {
+				return nil, err
+			}
+			return code.TimelineCircuit([]code.Epoch{
+				{Patch: code.NewPatch(lat()), Rounds: 3},
+				{Patch: df.Patch, Rounds: 3},
+				{Patch: code.NewPatch(lat()), Rounds: 3},
+			}, code.TimelineOptions{Basis: lattice.BasisZ, Noise: code.UniformNoise(1e-3)})
+		}
+	}
+	for _, bc := range []struct {
+		name  string
+		build func() (*circuit.Circuit, error)
+	}{
+		{"memory-d5", memory(5)},
+		{"timeline-square-d5", timeline(func() *lattice.Lattice { return lattice.NewSquare(5) })},
+		{"timeline-heavyhex-d3", timeline(func() *lattice.Lattice { return lattice.NewHeavyHex(3) })},
+		{"memory-d13", memory(13)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, err := bc.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := dem.FromCircuit(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -186,7 +222,8 @@ func BenchmarkGreedyDecode(b *testing.B) {
 // the same circuit through a cold engine (fresh cache every iteration, so
 // every Evaluate pays DEM extraction + graph construction) against the warm
 // path (shared engine, cache hit). The gap is the amortized setup cost the
-// mc engine's fingerprint cache saves across sweeps like FitLERModel.
+// mc engine's fingerprint cache saves across sweeps like FitLERModel;
+// scripts/bench_mc.sh caps cold at 8× warm (cold_warm_ratio).
 func BenchmarkEngineCachedSweep(b *testing.B) {
 	p := memoryCircuit(b, 5)
 	c, err := p.MemoryCircuit(code.MemoryOptions{Rounds: 5, Basis: lattice.BasisZ, Noise: code.UniformNoise(2e-3)})
@@ -228,7 +265,7 @@ func BenchmarkEngineCachedSweep(b *testing.B) {
 // per circuit (fresh engine each iteration); "warm" isolates the steady
 // state (caches primed, simulator/decoder pools populated), where allocs/op
 // is the number to watch. CI asserts batch-cold beats sequential-cold by at
-// least 1.3× (scripts/bench_mc.sh).
+// least 1.0× on multi-core runners (scripts/bench_mc.sh).
 func BenchmarkEngineBatchSweep(b *testing.B) {
 	const (
 		patches = 8

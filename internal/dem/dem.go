@@ -3,21 +3,30 @@
 // its probability, the set of detectors it flips, and the logical
 // observables it flips.
 //
-// The extraction exploits the linearity of Pauli-frame propagation: every
-// noise channel decomposes into elementary Pauli errors at a circuit
-// location, and each such error deterministically flips a fixed set of
-// measurement record bits, hence a fixed set of detectors. Mechanisms whose
-// symptom involves more than two detectors (e.g. a Y error straddling both
-// stabilizer types) are decomposed into their X and Z parts — which, for the
-// CSS circuits generated in this repository, are always graph-like (≤ 2
-// detectors). This reproduces the Stim circuit→DEM→matching-graph pipeline
-// the paper's evaluation uses.
+// Pauli-frame propagation is linear: every noise channel decomposes into
+// elementary Pauli errors at a circuit location, and each such error
+// deterministically flips a fixed set of measurement record bits, hence a
+// fixed set of detectors. FromCircuit finds every fault's set in one
+// backward sweep over the circuit. Walking the instructions last to first,
+// it keeps, per qubit, the detectors (a bitset) and observables that an X
+// or a Z error at the current point would flip, and pulls both rows back
+// through each gate, reset and measurement; a fault's symptom is the XOR of
+// its components' rows where it sits. That costs O((instructions + faults)·W)
+// for W = ⌈detectors/64⌉ words, where propagating each fault forward costs
+// O(faults × instructions). Equal symptoms merge in forward circuit order,
+// so the model is exactly the one forward propagation would build.
+//
+// Mechanisms whose symptom involves more than two detectors (e.g. a Y error
+// straddling both stabilizer types) are decomposed into their X and Z parts
+// — which, for the CSS circuits generated in this repository, are always
+// graph-like (≤ 2 detectors). This reproduces the Stim
+// circuit→DEM→matching-graph pipeline the paper's evaluation uses.
 package dem
 
 import (
 	"caliqec/internal/circuit"
 	"fmt"
-	"sort"
+	"math/bits"
 	"strings"
 )
 
@@ -89,9 +98,6 @@ func (m *Model) String() string {
 	return sb.String()
 }
 
-// pauliBits is a sparse frame: qubit -> (x,z) bits packed as 2 bits.
-type pauliBits map[int]uint8
-
 const (
 	bitX uint8 = 2
 	bitZ uint8 = 1
@@ -100,139 +106,22 @@ const (
 // FromCircuit extracts the DEM of c. It returns an error if any mechanism
 // remains non-graph-like (more than two detectors) after X/Z decomposition,
 // which indicates the circuit is outside the CSS family this package
-// supports.
+// supports, or if c references a qubit, record or detector out of range.
 func FromCircuit(c *circuit.Circuit) (*Model, error) {
-	ex := newExtractor(c)
-	return ex.run()
-}
-
-type extractor struct {
-	c *circuit.Circuit
-	// measToDet[r] lists detectors containing measurement record bit r.
-	measToDet [][]int
-	// measToObs[r] is the observable mask of record bit r.
-	measToObs []uint64
-	// measBefore[i] is the number of measurement record bits produced by
-	// instructions strictly before instruction i.
-	measBefore []int
-	// merged accumulates mechanisms keyed by canonical symptom.
-	merged map[string]*Mechanism
-	order  []string // insertion order for deterministic output
-}
-
-func newExtractor(c *circuit.Circuit) *extractor {
-	ex := &extractor{
-		c:         c,
-		measToDet: make([][]int, c.NumMeas),
-		measToObs: make([]uint64, c.NumMeas),
-		merged:    map[string]*Mechanism{},
+	sw, err := newSweep(c)
+	if err != nil {
+		return nil, err
 	}
-	ex.measBefore = make([]int, len(c.Instructions)+1)
-	for i, in := range c.Instructions {
-		ex.measBefore[i+1] = ex.measBefore[i]
-		switch in.Op {
-		case circuit.OpM, circuit.OpMX:
-			ex.measBefore[i+1] += len(in.Targets)
-		case circuit.OpDetector:
-			for _, r := range in.Recs {
-				ex.measToDet[r] = append(ex.measToDet[r], in.Index)
-			}
-		case circuit.OpObservable:
-			for _, r := range in.Recs {
-				ex.measToObs[r] ^= 1 << uint(in.Index)
-			}
-		}
-	}
-	return ex
-}
-
-func (ex *extractor) run() (*Model, error) {
-	for idx, in := range ex.c.Instructions {
-		switch in.Op {
-		case circuit.OpXError:
-			for _, q := range in.Targets {
-				if err := ex.addPauli(idx, pauliBits{q: bitX}, in.Arg); err != nil {
-					return nil, err
-				}
-			}
-		case circuit.OpZError:
-			for _, q := range in.Targets {
-				if err := ex.addPauli(idx, pauliBits{q: bitZ}, in.Arg); err != nil {
-					return nil, err
-				}
-			}
-		case circuit.OpYError:
-			for _, q := range in.Targets {
-				if err := ex.addPauli(idx, pauliBits{q: bitX | bitZ}, in.Arg); err != nil {
-					return nil, err
-				}
-			}
-		case circuit.OpDepolarize1:
-			for _, q := range in.Targets {
-				p := in.Arg / 3
-				for _, pb := range []uint8{bitX, bitX | bitZ, bitZ} {
-					if err := ex.addPauli(idx, pauliBits{q: pb}, p); err != nil {
-						return nil, err
-					}
-				}
-			}
-		case circuit.OpDepolarize2:
-			for i := 0; i < len(in.Targets); i += 2 {
-				a, b := in.Targets[i], in.Targets[i+1]
-				p := in.Arg / 15
-				for k := 1; k < 16; k++ {
-					pa, pb := uint8(k&3), uint8(k>>2)
-					f := pauliBits{}
-					if pa != 0 {
-						f[a] = pa
-					}
-					if pb != 0 {
-						f[b] = pb
-					}
-					if err := ex.addPauli(idx, f, p); err != nil {
-						return nil, err
-					}
-				}
-			}
-		case circuit.OpReset:
-			if in.Arg > 0 {
-				for _, q := range in.Targets {
-					if err := ex.addPauli(idx, pauliBits{q: bitX}, in.Arg); err != nil {
-						return nil, err
-					}
-				}
-			}
-		case circuit.OpResetX:
-			if in.Arg > 0 {
-				for _, q := range in.Targets {
-					if err := ex.addPauli(idx, pauliBits{q: bitZ}, in.Arg); err != nil {
-						return nil, err
-					}
-				}
-			}
-		case circuit.OpM, circuit.OpMX:
-			if in.Arg > 0 {
-				rec := ex.measIndexAt(idx)
-				for j := range in.Targets {
-					if err := ex.addMeasFlip(rec+j, in.Arg); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
+	if err := sw.run(c.Instructions); err != nil {
+		return nil, err
 	}
 	m := &Model{
-		NumDetectors:   ex.c.NumDetectors,
-		NumObs:         ex.c.NumObs,
-		NumRounds:      ex.c.NumRounds,
-		DetectorRounds: ex.c.DetectorRounds(),
-		DetectorQubits: ex.c.DetectorQubits(),
-	}
-	for _, k := range ex.order {
-		mech := ex.merged[k]
-		if mech.P > 0 {
-			m.Mechanisms = append(m.Mechanisms, *mech)
-		}
+		NumDetectors:   c.NumDetectors,
+		NumObs:         c.NumObs,
+		Mechanisms:     sw.mechanisms(),
+		NumRounds:      c.NumRounds,
+		DetectorRounds: c.DetectorRounds(),
+		DetectorQubits: c.DetectorQubits(),
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -240,217 +129,428 @@ func (ex *extractor) run() (*Model, error) {
 	return m, nil
 }
 
-// measIndexAt returns the measurement record index of the first target of
-// the instruction at position idx (i.e. records produced before it).
-func (ex *extractor) measIndexAt(idx int) int { return ex.measBefore[idx] }
+// symptom is a graph-like fault effect and the key equal effects merge
+// under: up to two detectors in ascending order (-1 pads an absent one)
+// and the observable mask.
+type symptom struct {
+	d   [2]int32
+	obs uint64
+}
 
-// addPauli propagates the elementary Pauli error f occurring immediately
-// after instruction idx, and records the resulting mechanism (decomposing
-// into X and Z parts when the full symptom is non-graph-like).
-func (ex *extractor) addPauli(idx int, f pauliBits, p float64) error {
+// fault is one visible elementary error awaiting its merge.
+type fault struct {
+	s symptom
+	p float64
+}
+
+// sweep is the state of one backward pass over a circuit. Row 2q holds the
+// detectors (a bitset of w words) and the observables that an X error on
+// qubit q at the current point of the pass would flip; row 2q+1 holds
+// those of a Z error.
+type sweep struct {
+	w      int
+	rows   []uint64 // 2·NumQubits rows of w words each
+	rowObs []uint64 // observable mask of each row
+	recDet [][]int  // detectors that include each measurement record bit
+	recObs []uint64 // observables that include each measurement record bit
+	// acc and accObs hold the symptom of the fault being emitted.
+	acc    []uint64
+	accObs uint64
+	// faults holds the symptom of every visible fault. The pass visits
+	// instructions last to first and appends each one's faults, in forward
+	// order, as one segment; segs lists the segment bounds in pass order.
+	faults []fault
+	segs   []int
+}
+
+func newSweep(c *circuit.Circuit) (*sweep, error) {
+	nmeas, nfaults := 0, 0
+	for i, in := range c.Instructions {
+		for _, q := range in.Targets {
+			if q < 0 || q >= c.NumQubits {
+				return nil, fmt.Errorf("dem: instruction %d (%s): qubit %d out of range [0,%d)", i, in.Op, q, c.NumQubits)
+			}
+		}
+		if in.Op.IsTwoQubit() {
+			if len(in.Targets)%2 != 0 {
+				return nil, fmt.Errorf("dem: instruction %d (%s): odd target count", i, in.Op)
+			}
+			for j := 0; j < len(in.Targets); j += 2 {
+				if in.Targets[j] == in.Targets[j+1] {
+					return nil, fmt.Errorf("dem: instruction %d (%s): pair targets equal (%d)", i, in.Op, in.Targets[j])
+				}
+			}
+		}
+		switch in.Op {
+		case circuit.OpM, circuit.OpMX:
+			nmeas += len(in.Targets)
+		case circuit.OpDepolarize1:
+			nfaults += 3 * len(in.Targets)
+		case circuit.OpDepolarize2:
+			nfaults += 15 * len(in.Targets) / 2
+		}
+	}
+	w := (c.NumDetectors + 63) / 64
+	sw := &sweep{
+		w:      w,
+		rows:   make([]uint64, 2*c.NumQubits*w),
+		rowObs: make([]uint64, 2*c.NumQubits),
+		recDet: make([][]int, nmeas),
+		recObs: make([]uint64, nmeas),
+		acc:    make([]uint64, w),
+		faults: make([]fault, 0, nfaults),
+		segs:   make([]int, 0, 2*len(c.Instructions)),
+	}
+	for i, in := range c.Instructions {
+		if in.Op != circuit.OpDetector && in.Op != circuit.OpObservable {
+			continue
+		}
+		if in.Op == circuit.OpDetector && (in.Index < 0 || in.Index >= c.NumDetectors) {
+			return nil, fmt.Errorf("dem: instruction %d: detector index %d out of range [0,%d)", i, in.Index, c.NumDetectors)
+		}
+		for _, r := range in.Recs {
+			if r < 0 || r >= nmeas {
+				return nil, fmt.Errorf("dem: instruction %d (%s): rec %d out of range [0,%d)", i, in.Op, r, nmeas)
+			}
+			if in.Op == circuit.OpDetector {
+				sw.recDet[r] = append(sw.recDet[r], in.Index)
+			} else {
+				sw.recObs[r] ^= 1 << uint(in.Index)
+			}
+		}
+	}
+	return sw, nil
+}
+
+// run sweeps the circuit last instruction to first. At each instruction
+// the rows describe the point just after it, which is where its faults
+// sit, so it emits them before pulling the rows back through it. When
+// faults at several instructions are non-graph-like, run reports the
+// earliest one, the first a forward pass would meet.
+func (sw *sweep) run(ins []circuit.Instruction) error {
+	var first error
+	meas := len(sw.recDet)
+	for idx := len(ins) - 1; idx >= 0; idx-- {
+		in := &ins[idx]
+		if in.Op == circuit.OpM || in.Op == circuit.OpMX {
+			meas -= len(in.Targets)
+		}
+		start := len(sw.faults)
+		if err := sw.emitFaults(idx, in, meas); err != nil {
+			first = err
+			sw.faults = sw.faults[:start]
+		}
+		if len(sw.faults) > start {
+			sw.segs = append(sw.segs, start, len(sw.faults))
+		}
+		sw.pullBack(in, meas)
+	}
+	return first
+}
+
+// emitFaults emits the faults located after instruction idx in the order
+// the forward pass meets them: target by target and, within a channel,
+// Pauli by Pauli. meas is the record index of its first measurement.
+func (sw *sweep) emitFaults(idx int, in *circuit.Instruction, meas int) error {
+	one := func(pauli uint8, p float64) error {
+		for _, q := range in.Targets {
+			if err := sw.pauli(idx, q, pauli, 0, 0, p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	switch in.Op {
+	case circuit.OpXError:
+		return one(bitX, in.Arg)
+	case circuit.OpZError:
+		return one(bitZ, in.Arg)
+	case circuit.OpYError:
+		return one(bitX|bitZ, in.Arg)
+	case circuit.OpDepolarize1:
+		p := in.Arg / 3
+		for _, q := range in.Targets {
+			for _, pauli := range [3]uint8{bitX, bitX | bitZ, bitZ} {
+				if err := sw.pauli(idx, q, pauli, 0, 0, p); err != nil {
+					return err
+				}
+			}
+		}
+	case circuit.OpDepolarize2:
+		p := in.Arg / 15
+		for i := 0; i < len(in.Targets); i += 2 {
+			a, b := in.Targets[i], in.Targets[i+1]
+			for k := 1; k < 16; k++ {
+				if err := sw.pauli(idx, a, uint8(k&3), b, uint8(k>>2), p); err != nil {
+					return err
+				}
+			}
+		}
+	case circuit.OpReset:
+		if in.Arg > 0 {
+			return one(bitX, in.Arg)
+		}
+	case circuit.OpResetX:
+		if in.Arg > 0 {
+			return one(bitZ, in.Arg)
+		}
+	case circuit.OpM, circuit.OpMX:
+		if in.Arg > 0 {
+			for j := range in.Targets {
+				if err := sw.readoutFlip(meas+j, in.Arg); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// pauli emits the fault pa on qubit a times pb on qubit b (pb is 0 for a
+// one-qubit fault) with probability p. A fault flipping more than two
+// detectors is split into its X and Z parts, and a two-qubit part that
+// still flips more than two into its qubits, in ascending qubit order.
+func (sw *sweep) pauli(idx, a int, pa uint8, b int, pb uint8, p float64) error {
 	if p <= 0 {
 		return nil
 	}
-	dets, obs := ex.propagate(idx, f)
-	if len(dets) <= 2 {
-		ex.merge(dets, obs, p)
+	if sw.load(a, pa, b, pb) <= 2 {
+		sw.emit(p)
 		return nil
 	}
-	// Decompose into X and Z components; frame propagation is linear so the
-	// two partial symptoms XOR to the full one.
-	xPart, zPart := pauliBits{}, pauliBits{}
-	for q, pb := range f {
-		if pb&bitX != 0 {
-			xPart[q] = bitX
-		}
-		if pb&bitZ != 0 {
-			zPart[q] = bitZ
-		}
-	}
-	for _, part := range []pauliBits{xPart, zPart} {
-		if len(part) == 0 {
+	for _, bit := range [2]uint8{bitX, bitZ} {
+		ma, mb := pa&bit, pb&bit
+		if ma == 0 && mb == 0 {
 			continue
 		}
-		d, o := ex.propagate(idx, part)
-		if len(d) > 2 {
-			// Final fallback: per-qubit elementary split.
-			if len(part) > 1 {
-				ok := true
-				for q, pb := range part {
-					dd, oo := ex.propagate(idx, pauliBits{q: pb})
-					if len(dd) > 2 {
-						ok = false
-						break
-					}
-					ex.merge(dd, oo, p)
-				}
-				if ok {
-					continue
-				}
-			}
-			return fmt.Errorf("dem: non-graph-like mechanism at instruction %d (%d detectors)", idx, len(d))
+		n := sw.load(a, ma, b, mb)
+		if n <= 2 {
+			sw.emit(p)
+			continue
 		}
-		ex.merge(d, o, p)
+		if ma != 0 && mb != 0 && sw.split(a, b, bit, p) {
+			continue
+		}
+		return fmt.Errorf("dem: non-graph-like mechanism at instruction %d (%d detectors)", idx, n)
 	}
 	return nil
 }
 
-// addMeasFlip records the mechanism of a classical readout flip of record r.
-func (ex *extractor) addMeasFlip(r int, p float64) error {
-	dets := append([]int(nil), ex.measToDet[r]...)
-	sort.Ints(dets)
-	dets = dedupXor(dets)
-	if len(dets) > 2 {
-		return fmt.Errorf("dem: measurement record %d appears in %d detectors", r, len(dets))
+// split emits the one-qubit faults bit on a and on b, lower qubit first;
+// it reports false if either flips more than two detectors.
+func (sw *sweep) split(a, b int, bit uint8, p float64) bool {
+	if b < a {
+		a, b = b, a
 	}
-	ex.merge(dets, ex.measToObs[r], p)
+	for _, q := range [2]int{a, b} {
+		if sw.load(q, bit, 0, 0) > 2 {
+			return false
+		}
+		sw.emit(p)
+	}
+	return true
+}
+
+// load sets acc to the symptom of pa on qubit a times pb on qubit b and
+// returns the number of detectors it flips.
+func (sw *sweep) load(a int, pa uint8, b int, pb uint8) int {
+	clear(sw.acc)
+	sw.accObs = 0
+	if pa&bitX != 0 {
+		sw.add(2 * a)
+	}
+	if pa&bitZ != 0 {
+		sw.add(2*a + 1)
+	}
+	if pb&bitX != 0 {
+		sw.add(2 * b)
+	}
+	if pb&bitZ != 0 {
+		sw.add(2*b + 1)
+	}
+	return sw.count()
+}
+
+// add XORs row r into acc.
+func (sw *sweep) add(r int) {
+	for i, x := range sw.row(r) {
+		sw.acc[i] ^= x
+	}
+	sw.accObs ^= sw.rowObs[r]
+}
+
+// readoutFlip emits the classical flip of measurement record r.
+func (sw *sweep) readoutFlip(r int, p float64) error {
+	clear(sw.acc)
+	sw.accObs = sw.xorRecord(sw.acc, r)
+	if n := sw.count(); n > 2 {
+		return fmt.Errorf("dem: measurement record %d appears in %d detectors", r, n)
+	}
+	sw.emit(p)
 	return nil
 }
 
-// propagate walks the circuit from instruction idx+1 with initial frame f
-// and returns the flipped detectors (sorted, XOR-reduced) and observables.
-func (ex *extractor) propagate(idx int, f pauliBits) ([]int, uint64) {
-	frame := pauliBits{}
-	for q, pb := range f {
-		frame[q] = pb
+func (sw *sweep) count() int {
+	n := 0
+	for _, x := range sw.acc {
+		n += bits.OnesCount64(x)
 	}
-	var flippedRecs []int
-	meas := ex.measIndexAt(idx)
-	// Account for measurements inside instruction idx itself: an error
-	// "after" a measurement instruction cannot affect its own outcomes.
-	if in := ex.c.Instructions[idx]; in.Op == circuit.OpM || in.Op == circuit.OpMX {
-		meas += len(in.Targets)
-	}
-	for i := idx + 1; i < len(ex.c.Instructions); i++ {
-		in := ex.c.Instructions[i]
-		switch in.Op {
-		case circuit.OpH:
-			for _, q := range in.Targets {
-				if pb, ok := frame[q]; ok {
-					frame[q] = (pb&bitX)>>1 | (pb&bitZ)<<1
-				}
-			}
-		case circuit.OpS:
-			for _, q := range in.Targets {
-				if pb, ok := frame[q]; ok && pb&bitX != 0 {
-					frame[q] = pb ^ bitZ
-					if frame[q] == 0 {
-						delete(frame, q)
-					}
-				}
-			}
-		case circuit.OpCX:
-			for j := 0; j < len(in.Targets); j += 2 {
-				c, t := in.Targets[j], in.Targets[j+1]
-				if frame[c]&bitX != 0 {
-					toggle(frame, t, bitX)
-				}
-				if frame[t]&bitZ != 0 {
-					toggle(frame, c, bitZ)
-				}
-			}
-		case circuit.OpCZ:
-			for j := 0; j < len(in.Targets); j += 2 {
-				a, b := in.Targets[j], in.Targets[j+1]
-				if frame[a]&bitX != 0 {
-					toggle(frame, b, bitZ)
-				}
-				if frame[b]&bitX != 0 {
-					toggle(frame, a, bitZ)
-				}
-			}
-		case circuit.OpSwap:
-			for j := 0; j < len(in.Targets); j += 2 {
-				a, b := in.Targets[j], in.Targets[j+1]
-				fa, fb := frame[a], frame[b]
-				setOrDelete(frame, a, fb)
-				setOrDelete(frame, b, fa)
-			}
-		case circuit.OpReset, circuit.OpResetX:
-			for _, q := range in.Targets {
-				delete(frame, q)
-			}
-		case circuit.OpM:
-			for _, q := range in.Targets {
-				if frame[q]&bitX != 0 {
-					flippedRecs = append(flippedRecs, meas)
-				}
-				// Z component is destroyed by the collapse.
-				if pb, ok := frame[q]; ok {
-					setOrDelete(frame, q, pb&bitX)
-				}
-				meas++
-			}
-		case circuit.OpMX:
-			for _, q := range in.Targets {
-				if frame[q]&bitZ != 0 {
-					flippedRecs = append(flippedRecs, meas)
-				}
-				if pb, ok := frame[q]; ok {
-					setOrDelete(frame, q, pb&bitZ)
-				}
-				meas++
-			}
-		}
-		if len(frame) == 0 {
-			// The frame has been absorbed; no further records can flip.
-			break
-		}
-	}
-	var dets []int
-	var obs uint64
-	for _, r := range flippedRecs {
-		dets = append(dets, ex.measToDet[r]...)
-		obs ^= ex.measToObs[r]
-	}
-	sort.Ints(dets)
-	return dedupXor(dets), obs
+	return n
 }
 
-func toggle(frame pauliBits, q int, bit uint8) {
-	pb := frame[q] ^ bit
-	setOrDelete(frame, q, pb)
+// emit records the symptom in acc, which flips at most two detectors,
+// with probability p. A fault that flips nothing is invisible and dropped.
+func (sw *sweep) emit(p float64) {
+	s := symptom{d: [2]int32{-1, -1}, obs: sw.accObs}
+	k := 0
+	for i, x := range sw.acc {
+		for ; x != 0; x &= x - 1 {
+			s.d[k] = int32(64*i + bits.TrailingZeros64(x))
+			k++
+		}
+	}
+	if k == 0 && s.obs == 0 {
+		return
+	}
+	sw.faults = append(sw.faults, fault{s, p})
 }
 
-func setOrDelete(frame pauliBits, q int, pb uint8) {
-	if pb == 0 {
-		delete(frame, q)
-	} else {
-		frame[q] = pb
+func (sw *sweep) row(r int) []uint64 { return sw.rows[r*sw.w : (r+1)*sw.w] }
+
+// xorRow adds row src's symptom to row dst's.
+func (sw *sweep) xorRow(dst, src int) {
+	d := sw.row(dst)
+	for i, x := range sw.row(src) {
+		d[i] ^= x
+	}
+	sw.rowObs[dst] ^= sw.rowObs[src]
+}
+
+func (sw *sweep) swapRows(r, s int) {
+	a, b := sw.row(r), sw.row(s)
+	for i := range a {
+		a[i], b[i] = b[i], a[i]
+	}
+	sw.rowObs[r], sw.rowObs[s] = sw.rowObs[s], sw.rowObs[r]
+}
+
+func (sw *sweep) clearRow(r int) {
+	clear(sw.row(r))
+	sw.rowObs[r] = 0
+}
+
+// xorRecord flips the detectors of measurement record rec in the bitset
+// dst and returns the record's observables.
+func (sw *sweep) xorRecord(dst []uint64, rec int) uint64 {
+	for _, d := range sw.recDet[rec] {
+		dst[d>>6] ^= 1 << uint(d&63)
+	}
+	return sw.recObs[rec]
+}
+
+// addRecord adds the symptom of measurement record rec to row r.
+func (sw *sweep) addRecord(r, rec int) {
+	sw.rowObs[r] ^= sw.xorRecord(sw.row(r), rec)
+}
+
+// pullBack moves the rows from the point just after instruction in to the
+// point just before it. Targets are walked in reverse, which keeps a qubit
+// that appears in several pairs of one instruction exact. meas is the
+// record index of the instruction's first measurement.
+func (sw *sweep) pullBack(in *circuit.Instruction, meas int) {
+	t := in.Targets
+	switch in.Op {
+	case circuit.OpH:
+		// X before H is Z after it, and vice versa.
+		for j := len(t) - 1; j >= 0; j-- {
+			sw.swapRows(2*t[j], 2*t[j]+1)
+		}
+	case circuit.OpS:
+		// S maps X to Y and keeps Z.
+		for j := len(t) - 1; j >= 0; j-- {
+			sw.xorRow(2*t[j], 2*t[j]+1)
+		}
+	case circuit.OpCX:
+		// X on the control spreads to the target; Z on the target spreads
+		// to the control.
+		for j := len(t) - 2; j >= 0; j -= 2 {
+			c, g := t[j], t[j+1]
+			sw.xorRow(2*c, 2*g)
+			sw.xorRow(2*g+1, 2*c+1)
+		}
+	case circuit.OpCZ:
+		// X on either qubit picks up Z on the other.
+		for j := len(t) - 2; j >= 0; j -= 2 {
+			a, b := t[j], t[j+1]
+			sw.xorRow(2*a, 2*b+1)
+			sw.xorRow(2*b, 2*a+1)
+		}
+	case circuit.OpSwap:
+		for j := len(t) - 2; j >= 0; j -= 2 {
+			a, b := t[j], t[j+1]
+			sw.swapRows(2*a, 2*b)
+			sw.swapRows(2*a+1, 2*b+1)
+		}
+	case circuit.OpReset, circuit.OpResetX:
+		// A reset absorbs any error before it.
+		for j := len(t) - 1; j >= 0; j-- {
+			sw.clearRow(2 * t[j])
+			sw.clearRow(2*t[j] + 1)
+		}
+	case circuit.OpM:
+		// X flips the record and survives the collapse; Z is absorbed.
+		for j := len(t) - 1; j >= 0; j-- {
+			sw.clearRow(2*t[j] + 1)
+			sw.addRecord(2*t[j], meas+j)
+		}
+	case circuit.OpMX:
+		for j := len(t) - 1; j >= 0; j-- {
+			sw.clearRow(2 * t[j])
+			sw.addRecord(2*t[j]+1, meas+j)
+		}
 	}
 }
 
-// dedupXor removes pairs of equal values from a sorted slice (XOR
-// semantics: a detector flipped twice is not flipped).
-func dedupXor(sorted []int) []int {
-	out := sorted[:0]
-	for i := 0; i < len(sorted); {
-		j := i
-		for j < len(sorted) && sorted[j] == sorted[i] {
-			j++
+// mechanisms replays the stored faults in forward circuit order, the order
+// a forward pass meets them, so first-seen order and every merged
+// probability come out as forward propagation of each fault would give
+// them. Equal symptoms merge as independent sources: p ← p₁(1−p₂) + p₂(1−p₁).
+// Mechanisms whose merged probability is not positive are dropped.
+func (sw *sweep) mechanisms() []Mechanism {
+	index := make(map[symptom]int, len(sw.faults)/8)
+	var keys []symptom
+	var ps []float64
+	for k := len(sw.segs) - 2; k >= 0; k -= 2 {
+		for _, f := range sw.faults[sw.segs[k]:sw.segs[k+1]] {
+			if i, ok := index[f.s]; ok {
+				ps[i] = ps[i]*(1-f.p) + f.p*(1-ps[i])
+				continue
+			}
+			index[f.s] = len(keys)
+			keys = append(keys, f.s)
+			ps = append(ps, f.p)
 		}
-		if (j-i)%2 == 1 {
-			out = append(out, sorted[i])
+	}
+	out := make([]Mechanism, 0, len(keys))
+	dets := make([]int, 0, 2*len(keys))
+	for i, s := range keys {
+		if !(ps[i] > 0) {
+			continue
 		}
-		i = j
+		m := Mechanism{ObsMask: s.obs, P: ps[i]}
+		start := len(dets)
+		for _, d := range s.d {
+			if d >= 0 {
+				dets = append(dets, int(d))
+			}
+		}
+		if len(dets) > start {
+			m.Detectors = dets[start:len(dets):len(dets)]
+		}
+		out = append(out, m)
 	}
 	if len(out) == 0 {
 		return nil
 	}
-	return append([]int(nil), out...)
-}
-
-// merge folds a mechanism into the accumulator, combining probabilities of
-// identical symptoms as independent sources: p ← p₁(1−p₂) + p₂(1−p₁).
-func (ex *extractor) merge(dets []int, obs uint64, p float64) {
-	if len(dets) == 0 && obs == 0 {
-		return // invisible error: no detectors, no logical effect
-	}
-	key := fmt.Sprint(dets, obs)
-	if m, ok := ex.merged[key]; ok {
-		m.P = m.P*(1-p) + p*(1-m.P)
-		return
-	}
-	ex.merged[key] = &Mechanism{Detectors: append([]int(nil), dets...), ObsMask: obs, P: p}
-	ex.order = append(ex.order, key)
+	return out
 }

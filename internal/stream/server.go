@@ -266,7 +266,10 @@ type CloseWriter interface {
 // fleet server that refuses admission writes its rejection summary and
 // closes, which surfaces client-side as a write error (EPIPE/RST) — before
 // reporting corruption, SendTrace reads whatever summary the server managed
-// to send and classifies from it.
+// to send and classifies from it. A summary that carries Error is returned
+// with a nil error whether or not the send failed: a server that rejects a
+// stream (an unknown circuit, say) may close before the client half-closes,
+// so the half-close failing is part of the rejection, not a second fault.
 func SendTrace(conn io.ReadWriter, tr io.Reader) (Summary, error) {
 	cw, ok := conn.(CloseWriter)
 	if !ok {
@@ -294,7 +297,7 @@ func SendTrace(conn io.ReadWriter, tr io.Reader) (Summary, error) {
 	if sum.Overload {
 		return sum, fmt.Errorf("%w: %d frames admitted, %d shed (tenant %d)", ErrOverload, sum.Frames, sum.Shed, sum.Tenant)
 	}
-	if copyErr != nil {
+	if copyErr != nil && sum.Error == "" {
 		return sum, copyErr
 	}
 	return sum, nil

@@ -382,6 +382,49 @@ func TestServerRejectsUnknownCircuit(t *testing.T) {
 	<-served
 }
 
+// halfClosedConn is a connection whose peer has already written its
+// summary and closed: writes succeed, CloseWrite fails as it does with
+// ENOTCONN, and reads yield the summary line.
+type halfClosedConn struct {
+	io.Reader
+	closeErr error
+}
+
+func (c *halfClosedConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *halfClosedConn) CloseWrite() error           { return c.closeErr }
+
+// TestSendTraceRejectionBeatsHalfCloseError pins the client side of
+// TestServerRejectsUnknownCircuit without its race: the server may write a
+// rejection summary and close before the client half-closes. SendTrace
+// must then return the summary and no error, as when the half-close wins
+// the race; a summary without Error still surfaces the half-close failure.
+func TestSendTraceRejectionBeatsHalfCloseError(t *testing.T) {
+	closeErr := errors.New("transport endpoint is not connected")
+	conn := &halfClosedConn{
+		Reader:   bytes.NewReader([]byte(`{"frames":0,"failures":0,"ler":0,"error":"unknown circuit fingerprint"}` + "\n")),
+		closeErr: closeErr,
+	}
+	sum, err := stream.SendTrace(conn, bytes.NewReader([]byte("trace")))
+	if err != nil {
+		t.Fatalf("rejection summary returned error %v", err)
+	}
+	if sum.Error != "unknown circuit fingerprint" {
+		t.Fatalf("summary error %q, want the server's rejection", sum.Error)
+	}
+
+	conn = &halfClosedConn{
+		Reader:   bytes.NewReader([]byte(`{"frames":2,"failures":0,"ler":0}` + "\n")),
+		closeErr: closeErr,
+	}
+	sum, err = stream.SendTrace(conn, bytes.NewReader([]byte("trace")))
+	if !errors.Is(err, closeErr) {
+		t.Fatalf("half-close failure lost: err %v", err)
+	}
+	if sum.Frames != 2 {
+		t.Fatalf("summary frames %d, want 2", sum.Frames)
+	}
+}
+
 // TestServerDrainingShutdown: cancelling the server while a client is
 // mid-stream (header sent, write side still open) must unblock the pending
 // connection read and return from Serve; the stalled client sees its

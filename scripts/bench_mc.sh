@@ -1,16 +1,26 @@
 #!/bin/sh
 # Runs the mc-engine benchmark suite (cached sweep, obs overhead, batched
 # multi-patch sweep), writes the parsed results to BENCH_mc.json, and
-# enforces three budgets:
+# enforces four budgets:
 #
 #   - the observability layer may cost the warm cached sweep at most 5%;
-#   - EvaluateBatch must beat the equivalent sequential-Evaluate loop on the
-#     8-patch cold sweep by >=1.3x on multi-core runners. On a single-core
-#     runner the scheduler has no parallel headroom by construction (batch
-#     and sequential perform identical work in a different order), so the
-#     guard degrades to "no regression" (>=0.85x, allowing scheduler
-#     noise) plus the allocation budget: batch-warm allocs/op must not
-#     exceed sequential-warm allocs/op;
+#   - cold_warm_ratio: EngineCachedSweep/cold (fresh engine: DEM extraction
+#     and graph build, then 256 shots) may take at most 8x the warm sweep
+#     (cached DEM and graph). Both numbers come from one run, so the cap
+#     needs no cross-machine constant. It reads 1.9-3.6 with the backward-
+#     sweep DEM extractor and read 94-176 when extraction re-propagated
+#     every fault, so it catches the set-up cost creeping back;
+#   - EvaluateBatch must not lose to the equivalent sequential-Evaluate
+#     loop on the 8-patch cold sweep: >=1.0x on multi-core runners. The
+#     floor was 1.3x while cold sweeps were dominated by serial DEM builds
+#     that the batch overlapped; with extraction in single-digit
+#     milliseconds both paths are sampling-bound on every core, and the
+#     ratio reads 1.07-1.30x on 2 vCPUs (1.58-1.74x before). On a
+#     single-core runner the scheduler has no parallel headroom by
+#     construction (batch and sequential perform identical work in a
+#     different order), so the guard degrades to >=0.85x, allowing
+#     scheduler noise. Either way the allocation budget holds: batch-warm
+#     allocs/op must not exceed sequential-warm allocs/op;
 #   - lane_speedup_warm: the multi-word (256-shot) sampler plus the
 #     incremental union-find reset must keep EngineCachedSweep/warm at
 #     least 1.8x faster than the committed pre-widening baseline
@@ -93,6 +103,20 @@ END {
         printf "FAIL: ObsOverhead results missing from benchmark output\n" > "/dev/stderr"
         fail = 1
     }
+    cold = ns["EngineCachedSweep/cold"]; warm = ns["EngineCachedSweep/warm"]
+    if (cold > 0 && warm > 0) {
+        cw = cold / warm
+        cwcap = 8
+        printf ",\n  \"cold_warm_ratio\": %.4f", cw
+        printf ",\n  \"cold_warm_cap\": %d", cwcap
+        if (cw > cwcap) {
+            printf "FAIL: cold cached sweep %.1fx the warm one, over the %dx cap\n", cw, cwcap > "/dev/stderr"
+            fail = 1
+        }
+    } else {
+        printf "FAIL: EngineCachedSweep results missing from benchmark output\n" > "/dev/stderr"
+        fail = 1
+    }
     sc = ns["EngineBatchSweep/sequential-cold"]; bc = ns["EngineBatchSweep/batch-cold"]
     sa = allocs["EngineBatchSweep/sequential-warm"]; ba = allocs["EngineBatchSweep/batch-warm"]
     if (sc > 0 && bc > 0) {
@@ -100,7 +124,7 @@ END {
         printf ",\n  \"batch_speedup_cold\": %.4f", speedup
         printf ",\n  \"batch_warm_allocs\": %s", ba
         printf ",\n  \"sequential_warm_allocs\": %s", sa
-        floor = (cores >= 2 ? 1.3 : 0.85)
+        floor = (cores >= 2 ? 1.0 : 0.85)
         if (speedup < floor) {
             printf "FAIL: batch cold sweep speedup %.2fx below the %.1fx floor (%d cores)\n", speedup, floor, cores > "/dev/stderr"
             fail = 1
@@ -113,7 +137,6 @@ END {
         printf "FAIL: EngineBatchSweep results missing from benchmark output\n" > "/dev/stderr"
         fail = 1
     }
-    warm = ns["EngineCachedSweep/warm"]
     base = 2237118
     if (warm > 0) {
         lane = base / warm
