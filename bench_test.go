@@ -158,41 +158,72 @@ func BenchmarkDEMExtraction(b *testing.B) {
 	}
 }
 
-// BenchmarkUnionFindDecode measures decoding throughput on realistic d=5
-// syndromes.
+// BenchmarkUnionFindDecode measures union-find decoding on pre-drawn
+// syndromes of shots that fired at least one detector: the ler-sweep grid
+// (square d ∈ {3,5,7} × p ∈ {2e-3, 3.5e-3, 5e-3}, rounds = d) and the
+// d=13, p=1e-3 memory circuit the fleet soak serves. One op is one decode.
 func BenchmarkUnionFindDecode(b *testing.B) {
-	p := memoryCircuit(b, 5)
-	c, err := p.MemoryCircuit(code.MemoryOptions{Rounds: 5, Basis: lattice.BasisZ, Noise: code.UniformNoise(2e-3)})
-	if err != nil {
-		b.Fatal(err)
+	type point struct {
+		d int
+		p float64
 	}
-	m, err := dem.FromCircuit(c)
-	if err != nil {
-		b.Fatal(err)
+	var points []point
+	for _, d := range []int{3, 5, 7} {
+		for _, p := range []float64{2e-3, 3.5e-3, 5e-3} {
+			points = append(points, point{d, p})
+		}
 	}
-	g, err := decoder.BuildGraph(m)
-	if err != nil {
-		b.Fatal(err)
+	points = append(points, point{13, 1e-3})
+	for _, pt := range points {
+		b.Run(fmt.Sprintf("d%d-p%g", pt.d, pt.p), func(b *testing.B) {
+			c, err := memoryCircuit(b, pt.d).MemoryCircuit(code.MemoryOptions{Rounds: pt.d, Basis: lattice.BasisZ, Noise: code.UniformNoise(pt.p)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := dem.FromCircuit(c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := decoder.BuildGraph(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dec := decoder.NewUnionFind(g)
+			syndromes := firedSyndromes(c, 1024, 3)
+			defects := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				syn := syndromes[i%len(syndromes)]
+				defects += len(syn)
+				dec.Decode(syn)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/decode")
+			b.ReportMetric(float64(defects)/float64(b.N), "defects/decode")
+		})
 	}
-	dec := decoder.NewUnionFind(g)
-	// Pre-draw syndromes.
-	fs := sim.NewFrameSimulator(c, rng.New(3))
-	var syndromes [][]int
-	fs.Sample(640, func(res sim.BatchResult) {
-		for s := 0; s < res.Shots; s++ {
+}
+
+// firedSyndromes samples c until it holds n syndromes that fired at least
+// one detector.
+func firedSyndromes(c *circuit.Circuit, n int, seed uint64) [][]int {
+	fs := sim.NewFrameSimulator(c, rng.New(seed))
+	var out [][]int
+	fs.SampleWhile(1<<30, func(res sim.BatchResult) bool {
+		for s := 0; s < res.Shots && len(out) < n; s++ {
 			var syn []int
 			for di := range res.Detectors {
 				if res.Detectors[di][s/64]>>uint(s%64)&1 == 1 {
 					syn = append(syn, di)
 				}
 			}
-			syndromes = append(syndromes, syn)
+			if len(syn) > 0 {
+				out = append(out, syn)
+			}
 		}
+		return len(out) < n
 	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec.Decode(syndromes[i%len(syndromes)])
-	}
+	return out
 }
 
 // BenchmarkGreedyDecode benchmarks the MWPM-style baseline decoder.

@@ -126,8 +126,15 @@ func BuildGraph(m *dem.Model) (*Graph, error) {
 		index[k] = len(g.Edges)
 		g.Edges = append(g.Edges, Edge{U: u, V: v, P: mech.P, ObsMask: mech.ObsMask})
 	}
-	for i := range g.Edges {
-		e := &g.Edges[i]
+	// Drop edges whose merged probability is not positive, as
+	// dem.FromCircuit drops non-positive mechanisms: two certain mechanisms
+	// on the same endpoints merge to P = 0, an edge that never fires, whose
+	// weight ln((1-p)/p) would be +Inf and has no integer growth weight.
+	kept := g.Edges[:0]
+	for _, e := range g.Edges {
+		if !(e.P > 0) {
+			continue
+		}
 		p := e.P
 		if p > 0.5 {
 			p = 0.5
@@ -141,9 +148,11 @@ func BuildGraph(m *dem.Model) (*Graph, error) {
 		if e.WInt < 1 {
 			e.WInt = 1
 		}
-		g.Adj[e.U] = append(g.Adj[e.U], i)
-		g.Adj[e.V] = append(g.Adj[e.V], i)
+		g.Adj[e.U] = append(g.Adj[e.U], len(kept))
+		g.Adj[e.V] = append(g.Adj[e.V], len(kept))
+		kept = append(kept, e)
 	}
+	g.Edges = kept
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}

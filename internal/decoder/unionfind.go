@@ -1,12 +1,29 @@
 package decoder
 
-import "sort"
+import (
+	"math"
+	"slices"
+)
 
 // UnionFind is a weighted union-find decoder (Delfosse–Nickerson). Clusters
 // grow from syndrome defects in integer weight units; when the grown regions
 // of two endpoints cover an edge, their clusters merge. Growth stops when
 // every cluster is neutral (even defect count or touching the boundary).
 // A spanning-forest peeling pass then extracts the correction.
+//
+// Growth advances from one edge saturation to the next, not one weight unit
+// per round. Between two saturations no cluster changes, so neither does any
+// frontier edge's rate: one unit per round, two when the clusters at both
+// endpoints are active. Each step therefore makes two passes over the active
+// frontiers. The first drops stale entries and finds k, the fewest unit
+// rounds after which some live edge saturates; the second grows every live
+// edge by k units per active side and collects exactly the edges k unit
+// rounds would have saturated, which then merge their clusters. The
+// grown-edge set after each step is the one unit rounds reach, and the
+// correction depends only on that set, the defects and the peel's
+// ascending-node forest, so results are identical to unit-round growth.
+// Frontier visits scale with saturating steps rather than with weight units
+// (see DESIGN.md §18).
 //
 // Scratch state is kept pristine between calls instead of being reset at
 // the start of every decode: each decode tracks exactly the nodes and edges
@@ -19,18 +36,20 @@ import "sort"
 type UnionFind struct {
 	g *Graph
 
+	// edges is the growth kernel's compact copy of g.Edges; an edge is
+	// grown once grow >= w.
+	edges []ufEdge
+	bnd   int32 // g.Boundary
+
 	// Scratch state, pristine between Decode calls. Pristine means:
-	// parent[i]=i, rank/parity 0, hasBnd only at the boundary node,
-	// defect/isRoot/added/visited/carry all false, parentEdge -1, every
-	// frontier list empty, every edge's grow 0 and grown false.
-	parent  []int
-	rank    []int
-	parity  []int  // defects mod 2 per cluster root
-	hasBnd  []bool // cluster contains the boundary node
+	// parent[i]=i, rank 0, state clBoundary at the boundary node and 0
+	// elsewhere, defect/isRoot/added/visited/carry all false, parentEdge
+	// -1, every frontier list empty, every edge's grow 0.
+	parent  []int32
+	rank    []uint8
+	state   []uint8 // per cluster root: clOdd | clBoundary
 	visited []bool
 	defect  []bool
-	grow    []int // growth accumulated on each edge
-	grown   []bool
 	// Per-root candidate boundary edge list (lazily cleaned).
 	frontier [][]int
 
@@ -38,63 +57,81 @@ type UnionFind struct {
 	// order (a deterministic replacement for the old map-based set, whose
 	// iteration order could reorder tie-breaking unions between runs);
 	// isRoot marks membership.
-	rootList []int
+	rootList []int32
 	isRoot   []bool
-	added    []bool // node's adjacency already pushed to a frontier
-	act      []int  // active roots this growth round
-	satur    []int  // edges saturated this growth round
+	added    []bool  // node's adjacency already pushed to a frontier
+	act      []int32 // active roots this growth step
+	satur    []int   // edges saturated this growth step
 
 	// Dirty tracking: the nodes (excluding the boundary, which is handled
 	// unconditionally) and edges this decode has touched and must restore.
 	// dirty is exactly the added-marked node set — every node that can
 	// receive a union/find/frontier write is either a defect or an absorbed
 	// endpoint, and both are added-marked before the write.
-	dirty     []int
-	grownList []int // edges with grow > 0, pushed on the 0→1 transition
+	dirty     []int32
+	grownList []int // edges with grow > 0, pushed on the 0→k transition
 
 	// Peeling scratch.
 	parentEdge []int
-	order      []int
-	stack      []int
+	order      []int32
+	stack      []int32
 	carry      []bool
-	peelNodes  []int // sorted copy of dirty: ascending spanning-forest roots
-	chosen     []int // edge indices of the correction extracted by peel
+	peelNodes  []int32 // sorted copy of dirty: ascending spanning-forest roots
+	chosen     []int   // edge indices of the correction extracted by peel
 
-	// Active round window [winLo, winHi): edges whose round span falls
-	// outside it are invisible to growth. Whole-shot Decode sets the window
-	// to cover everything, so the filter is a no-op there.
-	winLo, winHi int
+	// Every edge's round span lies inside [spanLo, spanHi]; a decode window
+	// [lo, hi) covering it filters nothing, so growth skips the test.
+	spanLo, spanHi int
 }
+
+// ufEdge is one edge as the growth kernel sees it: endpoints, integer weight
+// (Edge.WInt) and the growth accumulated this decode.
+type ufEdge struct{ u, v, w, grow int32 }
+
+// Cluster state bits. A cluster is active — still growing — exactly when
+// its state is clOdd: an odd defect count and no boundary node.
+const (
+	clOdd      uint8 = 1
+	clBoundary uint8 = 2
+)
 
 // NewUnionFind returns a union-find decoder over g.
 func NewUnionFind(g *Graph) *UnionFind {
 	n := g.NumDetectors + 1
 	u := &UnionFind{
 		g:          g,
-		parent:     make([]int, n),
-		rank:       make([]int, n),
-		parity:     make([]int, n),
-		hasBnd:     make([]bool, n),
+		edges:      make([]ufEdge, len(g.Edges)),
+		bnd:        int32(g.Boundary),
+		parent:     make([]int32, n),
+		rank:       make([]uint8, n),
+		state:      make([]uint8, n),
 		visited:    make([]bool, n),
 		defect:     make([]bool, n),
-		grow:       make([]int, len(g.Edges)),
-		grown:      make([]bool, len(g.Edges)),
 		frontier:   make([][]int, n),
 		isRoot:     make([]bool, n),
 		added:      make([]bool, n),
 		parentEdge: make([]int, n),
 		carry:      make([]bool, n),
 	}
+	for i, e := range g.Edges {
+		u.edges[i] = ufEdge{u: int32(e.U), v: int32(e.V), w: int32(e.WInt)}
+		if i == 0 || e.MinRound < u.spanLo {
+			u.spanLo = e.MinRound
+		}
+		if i == 0 || e.MaxRound > u.spanHi {
+			u.spanHi = e.MaxRound
+		}
+	}
 	// Establish the pristine invariant once; decode restores it on exit.
 	for i := 0; i < n; i++ {
-		u.parent[i] = i
+		u.parent[i] = int32(i)
 		u.parentEdge[i] = -1
 	}
-	u.hasBnd[g.Boundary] = true
+	u.state[g.Boundary] = clBoundary
 	return u
 }
 
-func (u *UnionFind) find(v int) int {
+func (u *UnionFind) find(v int32) int32 {
 	for u.parent[v] != v {
 		u.parent[v] = u.parent[u.parent[v]]
 		v = u.parent[v]
@@ -103,7 +140,7 @@ func (u *UnionFind) find(v int) int {
 }
 
 // union merges the clusters of roots a and b and returns the new root.
-func (u *UnionFind) union(a, b int) int {
+func (u *UnionFind) union(a, b int32) int32 {
 	if a == b {
 		return a
 	}
@@ -114,8 +151,9 @@ func (u *UnionFind) union(a, b int) int {
 	if u.rank[a] == u.rank[b] {
 		u.rank[a]++
 	}
-	u.parity[a] ^= u.parity[b]
-	u.hasBnd[a] = u.hasBnd[a] || u.hasBnd[b]
+	// Parities add mod 2; the boundary flag is sticky.
+	u.state[a] ^= u.state[b] & clOdd
+	u.state[a] |= u.state[b] & clBoundary
 	// Concatenate frontier lists; stale (internal or fully grown) entries
 	// are discarded lazily during growth. Truncate (rather than nil) the
 	// absorbed list so its backing array is reused by later Decode calls.
@@ -127,13 +165,9 @@ func (u *UnionFind) union(a, b int) int {
 	return a
 }
 
-// active reports whether the cluster rooted at r still needs to grow.
-func (u *UnionFind) active(r int) bool { return u.parity[r] == 1 && !u.hasBnd[r] }
-
 // Decode implements Decoder.
 func (u *UnionFind) Decode(syndrome []int) uint64 {
-	const maxInt = int(^uint(0) >> 1)
-	return u.decode(syndrome, 0, maxInt)
+	return u.decode(syndrome, math.MinInt, math.MaxInt)
 }
 
 // DecodeWindow decodes the syndrome using only edges whose round span lies
@@ -151,7 +185,7 @@ func (u *UnionFind) DecodeWindow(syndrome []int, lo, hi int, chosen []int) (uint
 // — defects at setup, endpoints absorbed during growth — passes through
 // here exactly once (guarded by the added flag), except the boundary node,
 // which restore() resets unconditionally.
-func (u *UnionFind) markDirty(v int) {
+func (u *UnionFind) markDirty(v int32) {
 	u.added[v] = true
 	u.dirty = append(u.dirty, v)
 }
@@ -161,15 +195,17 @@ func (u *UnionFind) decode(syndrome []int, lo, hi int) uint64 {
 	if len(syndrome) == 0 {
 		return 0
 	}
-	u.winLo, u.winHi = lo, hi
+	// The round filter runs only when the window excludes some edge.
+	filter := lo > u.spanLo || hi <= u.spanHi
 	g := u.g
 	u.dirty = u.dirty[:0]
 	u.grownList = u.grownList[:0]
 
 	u.rootList = u.rootList[:0]
-	for _, d := range syndrome {
+	for _, di := range syndrome {
+		d := int32(di)
 		u.defect[d] = true
-		u.parity[d] = 1
+		u.state[d] = clOdd
 		u.frontier[d] = append(u.frontier[d], g.Adj[d]...)
 		if !u.added[d] {
 			u.markDirty(d)
@@ -180,10 +216,8 @@ func (u *UnionFind) decode(syndrome []int, lo, hi int) uint64 {
 		}
 	}
 
-	// Growth rounds: every active cluster grows each frontier edge by one
-	// unit; saturated edges merge clusters. Roots are processed in
-	// insertion order, so union tie-breaks resolve identically on every
-	// run.
+	// Growth steps. Roots are processed in insertion order, so union
+	// tie-breaks resolve identically on every run.
 	for {
 		// Canonicalize and compact the root list: map each entry to its
 		// current root, dropping merged-away and duplicate entries.
@@ -202,7 +236,7 @@ func (u *UnionFind) decode(syndrome []int, lo, hi int) uint64 {
 		// Gather current active roots.
 		act := u.act[:0]
 		for _, r := range u.rootList {
-			if u.active(r) {
+			if u.state[r] == clOdd {
 				act = append(act, r)
 			}
 		}
@@ -210,49 +244,71 @@ func (u *UnionFind) decode(syndrome []int, lo, hi int) uint64 {
 		if len(act) == 0 {
 			break
 		}
-		saturated := u.satur[:0]
-		progress := false
+		// Pass 1: drop stale frontier entries (grown, outside the window,
+		// internal) and find the step k, the fewest unit rounds until some
+		// live edge saturates. An edge grows one unit per round for each
+		// active cluster at its endpoints.
+		k := int32(math.MaxInt32)
 		for _, r := range act {
 			fr := u.frontier[r][:0]
 			for _, ei := range u.frontier[r] {
-				e := &g.Edges[ei]
-				if u.grown[ei] {
+				e := &u.edges[ei]
+				if e.grow >= e.w {
 					continue
 				}
-				if e.MinRound < u.winLo || e.MaxRound >= u.winHi {
-					continue // outside the active window, drop
+				if filter {
+					if ge := &g.Edges[ei]; ge.MinRound < lo || ge.MaxRound >= hi {
+						continue // outside the active window, drop
+					}
 				}
-				ru, rv := u.find(e.U), u.find(e.V)
+				ru, rv := u.find(e.u), u.find(e.v)
 				if ru == rv {
 					continue // internal edge, drop
 				}
-				if u.grow[ei] == 0 {
-					u.grownList = append(u.grownList, ei)
+				fr = append(fr, ei)
+				need := e.w - e.grow
+				if u.state[ru^rv^r] == clOdd {
+					need = (need + 1) / 2 // both sides grow it
 				}
-				u.grow[ei]++
-				progress = true
-				if u.grow[ei] >= e.WInt {
-					u.grown[ei] = true
-					saturated = append(saturated, ei)
-				} else {
-					fr = append(fr, ei)
+				if need < k {
+					k = need
 				}
 			}
 			u.frontier[r] = fr
 		}
-		u.satur = saturated
-		if !progress {
-			// Disconnected defect with nowhere to grow: give up on it
-			// rather than spinning (its correction is unknowable anyway).
+		if k == math.MaxInt32 {
+			// No active cluster has anywhere left to grow: give up on
+			// its defects rather than spinning (their correction is
+			// unknowable anyway).
 			break
 		}
+		// Pass 2: k unit rounds at once. Every live entry gains k per
+		// visit; an edge both active sides visit gains 2k unless the first
+		// visit already saturated it.
+		saturated := u.satur[:0]
+		for _, r := range act {
+			for _, ei := range u.frontier[r] {
+				e := &u.edges[ei]
+				if e.grow >= e.w {
+					continue
+				}
+				if e.grow == 0 {
+					u.grownList = append(u.grownList, ei)
+				}
+				e.grow += k
+				if e.grow >= e.w {
+					saturated = append(saturated, ei)
+				}
+			}
+		}
+		u.satur = saturated
 		for _, ei := range saturated {
-			e := &g.Edges[ei]
-			ru, rv := u.find(e.U), u.find(e.V)
+			e := &u.edges[ei]
+			ru, rv := u.find(e.u), u.find(e.v)
 			// A newly absorbed endpoint contributes its incident edges to
 			// the merged cluster's frontier (the boundary node never grows).
-			for _, v := range [2]int{e.U, e.V} {
-				if !u.added[v] && v != g.Boundary {
+			for _, v := range [2]int32{e.u, e.v} {
+				if !u.added[v] && v != u.bnd {
 					u.markDirty(v)
 					r := u.find(v)
 					u.frontier[r] = append(u.frontier[r], g.Adj[v]...)
@@ -283,18 +339,17 @@ func (u *UnionFind) restore() {
 	for _, v := range u.dirty {
 		u.resetNode(v)
 	}
-	u.resetNode(u.g.Boundary)
+	u.resetNode(u.bnd)
+	u.state[u.bnd] = clBoundary
 	for _, ei := range u.grownList {
-		u.grow[ei] = 0
-		u.grown[ei] = false
+		u.edges[ei].grow = 0
 	}
 }
 
-func (u *UnionFind) resetNode(v int) {
+func (u *UnionFind) resetNode(v int32) {
 	u.parent[v] = v
 	u.rank[v] = 0
-	u.parity[v] = 0
-	u.hasBnd[v] = v == u.g.Boundary
+	u.state[v] = 0
 	u.defect[v] = false
 	u.isRoot[v] = false
 	u.added[v] = false
@@ -317,9 +372,9 @@ func (u *UnionFind) peel() uint64 {
 	parentEdge := u.parentEdge
 	order := u.order[:0]
 	u.peelNodes = append(u.peelNodes[:0], u.dirty...)
-	sort.Ints(u.peelNodes)
+	slices.Sort(u.peelNodes)
 	stack := u.stack[:0]
-	pushRoot := func(v int) {
+	pushRoot := func(v int32) {
 		u.visited[v] = true
 		stack = append(stack, v)
 		for len(stack) > 0 {
@@ -327,14 +382,11 @@ func (u *UnionFind) peel() uint64 {
 			stack = stack[:len(stack)-1]
 			order = append(order, x)
 			for _, ei := range g.Adj[x] {
-				if !u.grown[ei] {
+				e := &u.edges[ei]
+				if e.grow < e.w {
 					continue
 				}
-				e := &g.Edges[ei]
-				y := e.U
-				if y == x {
-					y = e.V
-				}
+				y := e.u ^ e.v ^ x
 				if !u.visited[y] {
 					u.visited[y] = true
 					parentEdge[y] = ei
@@ -344,7 +396,7 @@ func (u *UnionFind) peel() uint64 {
 		}
 	}
 	// Root at the boundary first so defects can discharge into it.
-	pushRoot(g.Boundary)
+	pushRoot(u.bnd)
 	for _, v := range u.peelNodes {
 		if !u.visited[v] {
 			pushRoot(v)
@@ -368,14 +420,11 @@ func (u *UnionFind) peel() uint64 {
 			continue
 		}
 		if carry[v] {
-			e := &g.Edges[ei]
-			p := e.U
-			if p == v {
-				p = e.V
-			}
+			e := &u.edges[ei]
+			p := e.u ^ e.v ^ v
 			carry[v] = false
 			carry[p] = !carry[p]
-			obs ^= e.ObsMask
+			obs ^= g.Edges[ei].ObsMask
 			u.chosen = append(u.chosen, ei)
 		}
 	}
