@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"caliqec/internal/decoder"
-	"caliqec/internal/fleet"
 	"caliqec/internal/mc"
 	"caliqec/internal/stream"
 	"context"
@@ -41,61 +40,6 @@ func parseTenantWeights(s string) (map[uint32]int, error) {
 		m[uint32(id)] = w
 	}
 	return m, nil
-}
-
-// fleetServeFlags bundles the serve flags that configure the shared pool.
-type fleetServeFlags struct {
-	on            *bool
-	workers       *int
-	streamQueue   *int
-	quantum       *int
-	tenantRate    *float64
-	tenantBurst   *float64
-	tenantStreams *int
-	tenantWeights *string
-}
-
-func addFleetFlags(fs *flag.FlagSet) fleetServeFlags {
-	return fleetServeFlags{
-		on:            fs.Bool("fleet", false, "decode all connections through one shared multi-tenant worker pool (admission control + fair scheduling) instead of a per-connection pipeline"),
-		workers:       fs.Int("fleet-workers", 0, "shared pool size when -fleet is set (0 = GOMAXPROCS); this is the whole server's decode concurrency"),
-		streamQueue:   fs.Int("stream-queue", 0, "per-stream admitted-frame queue bound when -fleet is set (0 = 256); a full queue sheds instead of stalling the socket"),
-		quantum:       fs.Int("quantum", 0, "deficit-round-robin quantum in frames when -fleet is set (0 = 64)"),
-		tenantRate:    fs.Float64("tenant-rate", 0, "default per-tenant admitted-frame budget in frames/s (0 = unmetered)"),
-		tenantBurst:   fs.Float64("tenant-burst", 0, "default per-tenant token-bucket burst in frames (0 = one second of -tenant-rate)"),
-		tenantStreams: fs.Int("tenant-streams", 0, "default per-tenant concurrent-stream cap (0 = uncapped)"),
-		tenantWeights: fs.String("tenant-weights", "", "per-tenant scheduling weights as id:weight[,id:weight...]; unlisted tenants weigh 1"),
-	}
-}
-
-// config builds the fleet.Config the flags describe; est carries the drift
-// flags through to the pool's per-stream monitors.
-func (ff fleetServeFlags) config(est stream.EstimatorConfig) (fleet.Config, error) {
-	weights, err := parseTenantWeights(*ff.tenantWeights)
-	if err != nil {
-		return fleet.Config{}, err
-	}
-	def := fleet.TenantConfig{
-		FrameRate:  *ff.tenantRate,
-		Burst:      *ff.tenantBurst,
-		MaxStreams: *ff.tenantStreams,
-	}
-	cfg := fleet.Config{
-		Workers:     *ff.workers,
-		StreamQueue: *ff.streamQueue,
-		Quantum:     *ff.quantum,
-		Default:     def,
-		Estimator:   est,
-	}
-	if len(weights) > 0 {
-		cfg.Tenants = map[uint32]fleet.TenantConfig{}
-		for id, w := range weights {
-			tc := def
-			tc.Weight = w
-			cfg.Tenants[id] = tc
-		}
-	}
-	return cfg, nil
 }
 
 // reTenant rewrites a recorded trace's header with the given tenant ID,

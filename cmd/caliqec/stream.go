@@ -6,7 +6,6 @@ import (
 	"caliqec/internal/circuit"
 	"caliqec/internal/code"
 	"caliqec/internal/decoder"
-	"caliqec/internal/fleet"
 	"caliqec/internal/lattice"
 	"caliqec/internal/mc"
 	"caliqec/internal/stream"
@@ -18,7 +17,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	goruntime "runtime"
 	"syscall"
 )
 
@@ -94,8 +92,8 @@ func cmdReplay(args []string) (err error) {
 	d := fs.Int("d", 3, "code distance the trace was recorded at")
 	p := fs.Float64("p", 1e-3, "physical error rate the trace was recorded at")
 	rounds := fs.Int("rounds", 0, "QEC rounds (default: the distance)")
-	workers := fs.Int("workers", 0, "decode worker fan-out (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 0, "frame queue depth between reader and workers (0 = default)")
+	workers := fs.Int("workers", 0, "decode workers (0 = GOMAXPROCS)")
+	queue := fs.Int("queue", 0, "frames read ahead of the decoders, queued or decoding (0 = 256)")
 	window := fs.Int("window", 0, "decode through a sliding round window of this many rounds (0 = whole-shot); resident decode state is O(window)")
 	check := fs.Bool("check", false, "re-run the in-process evaluation from the trace's seed metadata and fail on any count mismatch")
 	to := fs.String("to", "", "stream the trace to a caliqec serve instance at this TCP address instead of decoding locally")
@@ -237,10 +235,8 @@ func cmdServe(args []string) (err error) {
 	p := fs.Float64("p", 1e-3, "physical error rate of the served decoding graphs")
 	rounds := fs.Int("rounds", 0, "QEC rounds (default: the distance)")
 	addr := fs.String("addr", "127.0.0.1:8790", "TCP listen address")
-	workers := fs.Int("workers", 0, "decode worker fan-out per stream (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 0, "frame queue depth per stream (0 = default)")
 	window := fs.Int("window", 0, "serve sliding-window decoders with this round window (0 = whole-shot); traces recording a different rounds/shot are rejected")
-	ff := addFleetFlags(fs)
+	sf := addServeFlags(fs)
 	oc := addObsFlags(fs)
 	dc := addDriftFlags(fs)
 	fs.Parse(args)
@@ -299,23 +295,75 @@ func cmdServe(args []string) (err error) {
 		cat.Register(fp, scorer)
 		fmt.Printf("serving %v d=%d p=%.3g rounds=%d%s: fingerprint %x\n", tp, d, *p, r, mode, fp)
 	}
+	cfg, err := sf.config(est)
+	if err != nil {
+		return err
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	if *ff.on {
-		cfg, err := ff.config(est)
-		if err != nil {
-			return err
-		}
-		nw := cfg.Workers
-		if nw <= 0 {
-			nw = goruntime.GOMAXPROCS(0)
-		}
-		fmt.Printf("listening on %s (%d circuits, fleet pool of %d workers); Ctrl-C drains and exits\n",
-			ln.Addr(), cat.Len(), nw)
-		return fleet.NewServer(cfg, cat.Resolve).Serve(ctx, ln)
+	srv := stream.NewServer(cfg, cat.Resolve)
+	fmt.Printf("listening on %s (%d circuits, %d decode workers, %v backpressure); Ctrl-C drains and exits\n",
+		ln.Addr(), cat.Len(), srv.Pool().Workers(), cfg.Backpressure)
+	return srv.Serve(ctx, ln)
+}
+
+// serveFlags bundles the serve flags that configure the decode pool.
+type serveFlags struct {
+	fleet         *bool
+	workers       *int
+	queue         *int
+	quantum       *int
+	tenantRate    *float64
+	tenantBurst   *float64
+	tenantStreams *int
+	tenantWeights *string
+}
+
+func addServeFlags(fs *flag.FlagSet) serveFlags {
+	return serveFlags{
+		fleet:         fs.Bool("fleet", false, "shed frames on a full stream queue instead of stalling the socket, and apply the -tenant-* admission and scheduling flags"),
+		workers:       fs.Int("workers", 0, "decode workers shared by every connection (0 = GOMAXPROCS); the whole server's decode concurrency"),
+		queue:         fs.Int("queue", 0, "per-stream frame queue bound (0 = 256); a full queue stalls the socket, or sheds with -fleet"),
+		quantum:       fs.Int("quantum", 0, "deficit-round-robin quantum in frames (0 = 64)"),
+		tenantRate:    fs.Float64("tenant-rate", 0, "default per-tenant admitted-frame budget in frames/s when -fleet is set (0 = unmetered)"),
+		tenantBurst:   fs.Float64("tenant-burst", 0, "default per-tenant token-bucket burst in frames when -fleet is set (0 = one second of -tenant-rate)"),
+		tenantStreams: fs.Int("tenant-streams", 0, "default per-tenant concurrent-stream cap when -fleet is set (0 = uncapped)"),
+		tenantWeights: fs.String("tenant-weights", "", "per-tenant scheduling weights as id:weight[,id:weight...] when -fleet is set; unlisted tenants weigh 1"),
 	}
-	fmt.Printf("listening on %s (%d circuits); Ctrl-C drains and exits\n", ln.Addr(), cat.Len())
-	return stream.NewServer(cat.Resolve, stream.PipelineOptions{Workers: *workers, QueueDepth: *queue, Estimator: est}).Serve(ctx, ln)
+}
+
+// config builds the pool configuration the flags describe; est carries the
+// drift flags through to the per-stream monitors. Without -fleet the pool
+// blocks on a full queue and every tenant gets the default configuration.
+func (sf serveFlags) config(est stream.EstimatorConfig) (stream.Config, error) {
+	cfg := stream.Config{
+		Workers:     *sf.workers,
+		StreamQueue: *sf.queue,
+		Quantum:     *sf.quantum,
+		Estimator:   est,
+	}
+	if !*sf.fleet {
+		return cfg, nil
+	}
+	weights, err := parseTenantWeights(*sf.tenantWeights)
+	if err != nil {
+		return stream.Config{}, err
+	}
+	cfg.Backpressure = stream.Shed
+	cfg.Default = stream.TenantConfig{
+		FrameRate:  *sf.tenantRate,
+		Burst:      *sf.tenantBurst,
+		MaxStreams: *sf.tenantStreams,
+	}
+	if len(weights) > 0 {
+		cfg.Tenants = map[uint32]stream.TenantConfig{}
+		for id, w := range weights {
+			tc := cfg.Default
+			tc.Weight = w
+			cfg.Tenants[id] = tc
+		}
+	}
+	return cfg, nil
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // This file builds intraprocedural control-flow graphs over function bodies.
-// A CFG is the substrate for the flow-sensitive rules (lockbalance, ctxcancel,
-// obsspan, ...): where the original AST-walk rules could only ask "does an
+// A CFG is the substrate for the flow-sensitive rules (lockbalance, obsspan,
+// chanclose, ...): where the original AST-walk rules could only ask "does an
 // Unlock appear somewhere below this Lock", a CFG rule asks "does every path
 // from the Lock to the function exit pass an Unlock" — which is the actual
 // contract.

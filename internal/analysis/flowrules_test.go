@@ -182,118 +182,6 @@ func Release(mu *sync.Mutex) {
 	}
 }
 
-func TestCtxCancel(t *testing.T) {
-	cases := []struct {
-		name  string
-		files map[string]string
-		want  map[string]int
-	}{
-		{
-			"fires on an early return skipping cancel",
-			map[string]string{"a/a.go": `package a
-
-import "context"
-
-func X(parent context.Context, b bool) error {
-	ctx, cancel := context.WithCancel(parent)
-	if b {
-		return ctx.Err()
-	}
-	cancel()
-	return nil
-}
-`},
-			map[string]int{"ctxcancel": 1},
-		},
-		{
-			"silent with defer cancel",
-			map[string]string{"a/a.go": `package a
-
-import (
-	"context"
-	"time"
-)
-
-func X(parent context.Context, b bool) error {
-	ctx, cancel := context.WithTimeout(parent, time.Second)
-	defer cancel()
-	if b {
-		return ctx.Err()
-	}
-	return nil
-}
-`},
-			nil,
-		},
-		{
-			"fires on cancel discarded with _",
-			map[string]string{"a/a.go": `package a
-
-import "context"
-
-func X(parent context.Context) context.Context {
-	ctx, _ := context.WithCancel(parent)
-	return ctx
-}
-`},
-			map[string]int{"ctxcancel": 1},
-		},
-		{
-			"silent when cancel escapes by return",
-			map[string]string{"a/a.go": `package a
-
-import "context"
-
-func X(parent context.Context) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(parent)
-	return ctx, cancel
-}
-`},
-			nil,
-		},
-		{
-			"silent when cancel is captured by a closure",
-			map[string]string{"a/a.go": `package a
-
-import "context"
-
-func X(parent context.Context, done chan struct{}) context.Context {
-	ctx, cancel := context.WithCancel(parent)
-	go func() {
-		<-done
-		cancel()
-	}()
-	return ctx
-}
-`},
-			nil,
-		},
-		{
-			"fires only on the leaky branch of a select",
-			map[string]string{"a/a.go": `package a
-
-import "context"
-
-func X(parent context.Context, quit chan struct{}) {
-	ctx, cancel := context.WithCancel(parent)
-	select {
-	case <-quit:
-		return
-	case <-ctx.Done():
-		cancel()
-	}
-}
-`},
-			map[string]int{"ctxcancel": 1},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			wantCounts(t, lint(t, tc.files, analysis.CtxCancel()), tc.want)
-		})
-	}
-}
-
 func TestGoroutineLeak(t *testing.T) {
 	cases := []struct {
 		name  string

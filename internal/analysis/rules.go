@@ -23,7 +23,6 @@ func AllRules() []*Rule {
 		ObsSpan(),
 		ChanClose(),
 		LockBalance(),
-		CtxCancel(),
 		GoroutineLeak(),
 		WgDiscipline(),
 		DeferLoop(),

@@ -16,11 +16,11 @@
 //     mc.Evaluate would sample, making a trace a correctness oracle: a
 //     replay must reproduce the in-process evaluation's logical failure
 //     count bit-identically.
-//   - A replay/live-decode pipeline (pipeline.go) and TCP ingestion server
-//     (server.go) that feed any io.Reader — file, pipe, network — through
-//     the mc engine's cached decoding graph and pooled decoders with
-//     bounded queues, worker fan-out, per-stream metrics and spans, and
-//     context-cancellable draining shutdown.
+//   - One decode executor (pool.go) behind Replay (replay.go) and the TCP
+//     ingestion server (server.go): a shared worker pool with bounded
+//     per-stream queues, Block or Shed backpressure and DRR scheduling
+//     across tenants, feeding any io.Reader — file, pipe, network — through
+//     the mc engine's cached decoding graph and pooled decoders.
 //
 // Wire format (all integers little-endian):
 //
@@ -101,7 +101,7 @@ var (
 	ErrFormat = errors.New("stream: not a valid trace header")
 	// ErrOverload marks a stream the server shed under admission control or
 	// queue backpressure: the connection was healthy and the frames intact,
-	// but the fleet declined (some of) the work. Distinct from ErrTruncated —
+	// but the server declined (some of) the work. Distinct from ErrTruncated —
 	// a client seeing ErrOverload should back off and retry, not suspect
 	// corruption.
 	ErrOverload = errors.New("stream: server overloaded, stream shed")

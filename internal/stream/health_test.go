@@ -272,13 +272,17 @@ func TestHealthEndpoint(t *testing.T) {
 // per-connection stream names, reports drift in the summary, and exposes
 // the monitor through the health registry.
 func TestServerDriftMonitoring(t *testing.T) {
+	forEachBackpressure(t, testServerDriftMonitoring)
+}
+
+func testServerDriftMonitoring(t *testing.T, bp stream.Backpressure) {
 	raw := driftTrace(t, 4, 100, 6, 4, 2)
 	health := stream.NewHealthRegistry()
-	opt := stream.PipelineOptions{Workers: 2, Metrics: obs.Discard, Estimator: testEstimator(100)}
-	opt.Estimator.Health = health
-	srv := stream.NewServer(func(stream.Header) (stream.FrameScorer, error) {
+	cfg := stream.Config{Workers: 2, StreamQueue: 1000, Backpressure: bp, Metrics: obs.Discard, Estimator: testEstimator(100)}
+	cfg.Estimator.Health = health
+	srv := stream.NewServer(cfg, func(stream.Header) (stream.FrameScorer, error) {
 		return parityScorer{}, nil
-	}, opt)
+	})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -321,9 +325,9 @@ func TestServerMetricsLiveInSharedRegistry(t *testing.T) {
 	reg := obs.NewRegistry(nil)
 	gate := make(chan struct{})
 	scorer := &gatedScorer{gate: gate}
-	srv := stream.NewServer(func(stream.Header) (stream.FrameScorer, error) {
+	srv := stream.NewServer(stream.Config{Workers: 1, StreamQueue: 4, Metrics: reg}, func(stream.Header) (stream.FrameScorer, error) {
 		return scorer, nil
-	}, stream.PipelineOptions{Workers: 1, QueueDepth: 4, Metrics: reg})
+	})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

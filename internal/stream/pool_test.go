@@ -1,4 +1,4 @@
-package fleet_test
+package stream_test
 
 import (
 	"errors"
@@ -7,34 +7,12 @@ import (
 	"testing"
 	"time"
 
-	"caliqec/internal/fleet"
 	"caliqec/internal/obs"
 	"caliqec/internal/stream"
 )
 
 func testHeader(numDet int, tenant uint32) stream.Header {
 	return stream.Header{NumDetectors: numDet, NumObs: 1, Tenant: tenant}
-}
-
-// parityScorer fails a frame when the low observable bit is set.
-type parityScorer struct{}
-
-func (parityScorer) ScoreFrame(syndrome []int, actual uint64) bool { return actual&1 == 1 }
-
-// gatedScorer blocks every ScoreFrame call until its gate closes, holding
-// the pool's workers so tests can fill queues deterministically. entered
-// counts calls that reached the gate (i.e. frames a worker has claimed).
-type gatedScorer struct {
-	gate    chan struct{}
-	entered atomic.Int64
-	scored  atomic.Int64
-}
-
-func (g *gatedScorer) ScoreFrame(syndrome []int, actual uint64) bool {
-	g.entered.Add(1)
-	<-g.gate
-	g.scored.Add(1)
-	return actual&1 == 1
 }
 
 // taggingScorer appends its tag to a shared ordered log per scored frame,
@@ -57,7 +35,7 @@ func (s *taggingScorer) ScoreFrame(syndrome []int, actual uint64) bool {
 }
 
 // offerAll pushes n dummy frames through st and returns how many admitted.
-func offerAll(st *fleet.Stream, fbytes, n int) int {
+func offerAll(st *stream.Stream, fbytes, n int) int {
 	packed := make([]byte, fbytes)
 	admitted := 0
 	for i := 0; i < n; i++ {
@@ -77,12 +55,13 @@ func TestPoolDRRFairness(t *testing.T) {
 	var log []string
 	gate := make(chan struct{})
 
-	p := fleet.NewPool(fleet.Config{
-		Workers:     1,
-		StreamQueue: 1024,
-		Quantum:     10,
-		Metrics:     obs.Discard,
-		Tenants: map[uint32]fleet.TenantConfig{
+	p := stream.NewPool(stream.Config{
+		Backpressure: stream.Shed,
+		Workers:      1,
+		StreamQueue:  1024,
+		Quantum:      10,
+		Metrics:      obs.Discard,
+		Tenants: map[uint32]stream.TenantConfig{
 			1: {Weight: 1},
 			2: {Weight: 3},
 		},
@@ -117,7 +96,7 @@ func TestPoolDRRFairness(t *testing.T) {
 		t.Fatalf("tenant 2 admitted %d of %d", got, n)
 	}
 	close(gate)
-	for _, st := range []*fleet.Stream{stHold, stA, stB} {
+	for _, st := range []*stream.Stream{stHold, stA, stB} {
 		st.CloseSend()
 		<-st.Done()
 		st.Close()
@@ -154,11 +133,12 @@ func TestOfferShedsNeverBlocks(t *testing.T) {
 	gate := make(chan struct{})
 	g := &gatedScorer{gate: gate}
 	const queue = 8
-	p := fleet.NewPool(fleet.Config{
-		Workers:     1,
-		StreamQueue: queue,
-		Quantum:     1,
-		Metrics:     obs.Discard,
+	p := stream.NewPool(stream.Config{
+		Backpressure: stream.Shed,
+		Workers:      1,
+		StreamQueue:  queue,
+		Quantum:      1,
+		Metrics:      obs.Discard,
 	})
 	defer p.Close()
 
@@ -204,13 +184,70 @@ func TestOfferShedsNeverBlocks(t *testing.T) {
 	}
 }
 
+// TestOfferBlocksAtQueueBound is the Block counterpart: with the pool
+// wedged, a Block stream admits exactly its queue bound counting the
+// frames a worker holds, the next Offer waits, and CloseSend from another
+// goroutine releases it as a shed frame.
+func TestOfferBlocksAtQueueBound(t *testing.T) {
+	g := &gatedScorer{gate: make(chan struct{})}
+	const queue = 8
+	p := stream.NewPool(stream.Config{Workers: 1, StreamQueue: queue, Metrics: obs.Discard})
+	defer p.Close()
+	// Unpark the worker before Close drains, also when the test fails.
+	release := sync.OnceFunc(func() { close(g.gate) })
+	defer release()
+
+	st, err := p.Open(testHeader(16, 0), g, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Offer(make([]byte, 2), 0) {
+		t.Fatal("first frame shed by an idle pool")
+	}
+	// The worker claims it and parks; the producer then fills the rest of
+	// the bound and waits.
+	waitFor(t, func() bool { return g.entered.Load() == 1 })
+	var admitted atomic.Int64
+	admitted.Store(1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		packed := make([]byte, 2)
+		for i := 0; i < 100 && st.Offer(packed, 0); i++ {
+			admitted.Add(1)
+		}
+	}()
+	if got := waitStable(t, admitted.Load); got != queue {
+		t.Fatalf("admitted %d frames with the pool wedged, want exactly the queue bound %d", got, queue)
+	}
+	select {
+	case <-done:
+		t.Fatal("Offer returned with the queue full: Block must wait")
+	default:
+	}
+	st.CloseSend()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("CloseSend did not release the blocked Offer")
+	}
+	release()
+	<-st.Done()
+	stats := st.Stats()
+	st.Close()
+	if stats.Admitted != queue || stats.Shed != 1 {
+		t.Fatalf("admitted=%d shed=%d, want %d/1", stats.Admitted, stats.Shed, queue)
+	}
+}
+
 // TestMaxStreamsCap: the per-tenant concurrent-stream cap refuses the
 // overflow stream with ErrOverload and frees the slot on Close.
 func TestMaxStreamsCap(t *testing.T) {
-	p := fleet.NewPool(fleet.Config{
-		Workers: 1,
-		Metrics: obs.Discard,
-		Tenants: map[uint32]fleet.TenantConfig{7: {MaxStreams: 2}},
+	p := stream.NewPool(stream.Config{
+		Backpressure: stream.Shed,
+		Workers:      1,
+		Metrics:      obs.Discard,
+		Tenants:      map[uint32]stream.TenantConfig{7: {MaxStreams: 2}},
 	})
 	defer p.Close()
 
@@ -245,11 +282,12 @@ func TestMaxStreamsCap(t *testing.T) {
 func TestTokenBucketAdmission(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	p := fleet.NewPool(fleet.Config{
-		Workers: 1,
-		Metrics: obs.Discard,
-		Now:     clock,
-		Tenants: map[uint32]fleet.TenantConfig{3: {FrameRate: 10, Burst: 5}},
+	p := stream.NewPool(stream.Config{
+		Backpressure: stream.Shed,
+		Workers:      1,
+		Metrics:      obs.Discard,
+		Now:          clock,
+		Tenants:      map[uint32]stream.TenantConfig{3: {FrameRate: 10, Burst: 5}},
 	})
 	defer p.Close()
 
@@ -281,7 +319,7 @@ func TestTokenBucketAdmission(t *testing.T) {
 // dropped; Done closes for every half-closed stream.
 func TestPoolCloseDrains(t *testing.T) {
 	g := &gatedScorer{gate: make(chan struct{})}
-	p := fleet.NewPool(fleet.Config{Workers: 2, StreamQueue: 64, Metrics: obs.Discard})
+	p := stream.NewPool(stream.Config{Workers: 2, StreamQueue: 64, Backpressure: stream.Shed, Metrics: obs.Discard})
 
 	st, err := p.Open(testHeader(16, 0), g, "s")
 	if err != nil {
@@ -310,10 +348,11 @@ func TestPoolCloseDrains(t *testing.T) {
 // the shared registry under fleet.tenant.<id>.*.
 func TestTenantMetrics(t *testing.T) {
 	reg := obs.NewRegistry(nil)
-	p := fleet.NewPool(fleet.Config{
-		Workers: 1,
-		Metrics: reg,
-		Tenants: map[uint32]fleet.TenantConfig{5: {FrameRate: 1e-9, Burst: 2}},
+	p := stream.NewPool(stream.Config{
+		Backpressure: stream.Shed,
+		Workers:      1,
+		Metrics:      reg,
+		Tenants:      map[uint32]stream.TenantConfig{5: {FrameRate: 1e-9, Burst: 2}},
 	})
 	defer p.Close()
 
@@ -337,14 +376,106 @@ func TestTenantMetrics(t *testing.T) {
 	}
 }
 
-// waitFor polls cond for up to 5 seconds.
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached within 5s")
+// sleepScorer models a decode that is slow relative to the offered pace
+// while yielding the CPU, so the offer goroutines keep running even on a
+// single-core box (a spinning scorer would starve them).
+type sleepScorer struct{ cost time.Duration }
+
+func (s sleepScorer) ScoreFrame(syn []int, obs uint64) bool {
+	time.Sleep(s.cost)
+	return false
+}
+
+// TestDRRAdmittedShareUnderPacedLoad pins the e2e fairness contract the
+// loadgen harness asserts: under *sustained* paced load where the drain —
+// not the queue refill — is each stream's binding constraint (per-stream
+// arrival rate exceeds every tenant's per-stream drain share, so queues
+// never fully empty between claims), the admitted-frame counts beyond the
+// initial queue fill track the DRR weights. This is the regime the CI
+// fleet-soak's fairness phase constructs with a slow decode and small
+// queues; with a fast decode, queues drain completely between refill
+// bursts and every burst admits exactly the queue cap per stream,
+// weight-independently — which is correct DRR (weights govern drain
+// share), just not a regime where admitted counts can show it.
+func TestDRRAdmittedShareUnderPacedLoad(t *testing.T) {
+	p := stream.NewPool(stream.Config{
+		Backpressure: stream.Shed,
+		Workers:      1,
+		StreamQueue:  32,
+		Quantum:      16,
+		Metrics:      obs.Discard,
+		Tenants: map[uint32]stream.TenantConfig{
+			1: {Weight: 3},
+			2: {Weight: 1},
+			3: {Weight: 1},
+			4: {Weight: 1},
+		},
+	})
+
+	const perTenant = 8
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	adm := map[uint32]int64{}
+	stop := make(chan struct{})
+	for id := uint32(1); id <= 4; id++ {
+		for i := 0; i < perTenant; i++ {
+			st, err := p.Open(testHeader(8, id), sleepScorer{cost: 40 * time.Microsecond}, "probe")
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func(st *stream.Stream, id uint32) {
+				defer wg.Done()
+				packed := make([]byte, 1)
+				var a int64
+				for {
+					select {
+					case <-stop:
+						st.CloseSend()
+						<-st.Done()
+						st.Close()
+						mu.Lock()
+						adm[id] += a
+						mu.Unlock()
+						return
+					default:
+					}
+					// ~3000 frames/s per stream, like loadgen -pace.
+					for j := 0; j < 3; j++ {
+						if st.Offer(packed, 0) {
+							a++
+						}
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}(st, id)
 		}
-		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(time.Second)
+	close(stop)
+	wg.Wait()
+	p.Close()
+
+	const fill = perTenant * 32
+	beyond := func(id uint32) int64 {
+		b := adm[id] - fill
+		if b < 0 {
+			b = 0
+		}
+		return b
+	}
+	t.Logf("beyond-fill admissions: t1(w3)=%d t2=%d t3=%d t4=%d",
+		beyond(1), beyond(2), beyond(3), beyond(4))
+	if beyond(1) == 0 {
+		t.Fatalf("weight-3 tenant admitted nothing beyond its queue fill — no drain signal at all")
+	}
+	// Directional, generous band: the weight-3 tenant must out-admit each
+	// weight-1 tenant beyond the equal queue fill. The exact 3:1 ratio is
+	// timing-sensitive; the ordering is not.
+	for id := uint32(2); id <= 4; id++ {
+		if beyond(1) <= beyond(id) {
+			t.Errorf("weight-3 tenant admitted %d beyond fill, <= weight-1 tenant %d's %d",
+				beyond(1), id, beyond(id))
+		}
 	}
 }

@@ -24,13 +24,13 @@ type Summary struct {
 	Stream string `json:"stream,omitempty"`
 	// DriftEvents counts the drift events the stream's monitor generated.
 	DriftEvents int64 `json:"drift_events,omitempty"`
-	// Tenant echoes the tenant the stream was accounted to (fleet servers).
+	// Tenant echoes the tenant the stream was accounted to.
 	Tenant uint32 `json:"tenant,omitempty"`
-	// Shed counts frames the fleet declined under admission control or
+	// Shed counts frames the server declined under admission control or
 	// queue backpressure; Frames counts only the decoded ones, so
 	// Frames+Shed is what the client sent.
 	Shed int64 `json:"shed,omitempty"`
-	// Overload marks a stream the fleet shed — entirely (admission refused,
+	// Overload marks a stream the server shed — entirely (admission refused,
 	// Frames == 0) or partially (Shed > 0). SendTrace surfaces it as
 	// ErrOverload.
 	Overload bool `json:"overload,omitempty"`
@@ -94,75 +94,59 @@ func (c *Catalog) Resolve(h Header) (FrameScorer, error) {
 	return s, nil
 }
 
-// Server ingests length-prefixed trace streams over TCP (or any
-// net.Listener) and live-decodes them through the replay pipeline. The
-// protocol is the trace format itself: a client connects, streams header
-// plus frames, half-closes its write side, and receives one JSON Summary
-// line. Backpressure is end-to-end — the bounded pipeline queue blocks the
-// connection read, which TCP flow control propagates to the sender — so
-// server memory stays bounded per stream regardless of client rate.
+// Server ingests trace streams over any net.Listener and decodes every
+// connection through one shared Pool. The protocol is the trace format
+// itself: a client connects, streams header plus frames, half-closes its
+// write side, and receives one JSON Summary line. The trace header's
+// Tenant field selects the admission and scheduling policy, and the pool's
+// Backpressure decides what a full stream queue does: Block stalls the
+// connection read, which TCP flow control propagates to the sender; Shed
+// drops and counts the frame, reported in the summary (Shed count,
+// Overload flag), and keeps reading. Either way server memory stays
+// bounded per stream regardless of client rate.
 type Server struct {
+	pool    *Pool
 	resolve func(Header) (FrameScorer, error)
-	opt     PipelineOptions
 
-	metrics serverMetrics
-	connSeq atomic.Int64 // stream name sequence for drift monitoring
-}
-
-// serverMetrics bundles the server's handles into the shared obs.Registry
-// (the one PipelineOptions.Metrics selects), so a /metrics scrape of that
-// registry reflects live connection state — not a private copy.
-type serverMetrics struct {
 	conns    *obs.Counter // stream.server.conns: connections accepted
 	active   *obs.Gauge   // stream.server.active: streams being decoded now
 	rejected *obs.Counter // stream.server.rejected: streams refused (bad header / unknown circuit)
-
 	// activeN backs the active gauge: gauges are last-value, so concurrent
 	// handlers increment this atomic and publish its value.
 	activeN atomic.Int64
+	connSeq atomic.Int64 // stream name sequence
 }
 
-// newServerMetrics resolves the server's handles in reg (nil selects
-// obs.Default, obs.Discard disables them).
-func newServerMetrics(reg *obs.Registry) serverMetrics {
-	if reg == nil {
-		reg = obs.Default
-	}
-	return serverMetrics{
-		conns:    reg.Counter("stream.server.conns"),
-		active:   reg.Gauge("stream.server.active"),
-		rejected: reg.Counter("stream.server.rejected"),
-	}
-}
-
-// connStarted records a connection entering decode and publishes the new
-// active count; the returned func records it leaving.
-func (m *serverMetrics) connStarted() (done func()) {
-	m.active.Set(float64(m.activeN.Add(1)))
-	return func() { m.active.Set(float64(m.activeN.Add(-1))) }
-}
-
-// NewServer returns a server resolving incoming streams through resolve
-// (typically Catalog.Resolve) and decoding them with opt. Metrics land in
-// opt.Metrics. When opt.Estimator.Window > 0 every connection gets its own
-// drift monitor under a server-assigned stream name ("conn-1", "conn-2",
-// ...), registered in opt.Estimator.Health when set; note each name adds a
+// NewServer builds the pool from cfg and resolves incoming streams through
+// resolve (typically Catalog.Resolve). Metrics land in cfg.Metrics. Every
+// connection's stream is named "conn-1", "conn-2", ...; when
+// cfg.Estimator.Window > 0 its drift monitor registers under that name in
+// cfg.Estimator.Health. Note each monitored name adds a
 // stream.drift.qubits.<name> gauge to the registry, so a long-lived server
 // with monitoring on accumulates one gauge per connection.
-func NewServer(resolve func(Header) (FrameScorer, error), opt PipelineOptions) *Server {
+func NewServer(cfg Config, resolve func(Header) (FrameScorer, error)) *Server {
+	p := NewPool(cfg)
 	return &Server{
-		resolve: resolve,
-		opt:     opt,
-		metrics: newServerMetrics(opt.Metrics),
+		pool:     p,
+		resolve:  resolve,
+		conns:    p.reg.Counter("stream.server.conns"),
+		active:   p.reg.Gauge("stream.server.active"),
+		rejected: p.reg.Counter("stream.server.rejected"),
 	}
 }
 
-// Serve accepts connections from ln until ctx is canceled, decoding each
-// stream concurrently. Shutdown is draining: cancellation closes the
-// listener and unblocks in-flight connection reads, each pipeline drains
-// its queued frames, and Serve returns only after every handler has
-// finished. A cancellation-triggered shutdown returns nil; any other
-// accept failure is returned after the same drain.
+// Pool returns the server's shared worker pool (tests and metrics probes).
+func (s *Server) Pool() *Pool { return s.pool }
+
+// Serve accepts connections from ln until ctx is canceled, then drains:
+// cancellation closes the listener and unblocks in-flight connection reads
+// (and Offers blocked on a full queue), handlers finish their streams (the
+// pool decodes what was admitted and each drift monitor finalizes its
+// partial window), the pool shuts down, and the drift-event sink is
+// flushed — so no events from final partial windows are lost at shutdown.
+// A cancellation-triggered stop returns nil; any other accept failure is
+// returned after the same drain. Serve owns the pool's lifecycle: it is
+// one-shot.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	stop := context.AfterFunc(ctx, func() { ln.Close() })
 	defer stop()
@@ -176,7 +160,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 			}
 			break
 		}
-		s.metrics.conns.Inc()
+		s.conns.Inc()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -184,61 +168,68 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		}()
 	}
 	wg.Wait()
-	// Every handler has drained and finalized its monitor windows; flush the
-	// drift-event sink so events from the final partial windows reach the log
-	// before Serve returns and the process moves on (or exits). The sink
-	// stays open — it is caller-owned and may be shared.
-	if err := s.opt.Estimator.Events.Flush(); err != nil && acceptErr == nil {
+	s.pool.Close()
+	// The sink stays open — it is caller-owned and may be shared.
+	if err := s.pool.cfg.Estimator.Events.Flush(); err != nil && acceptErr == nil {
 		acceptErr = fmt.Errorf("stream: flushing drift events: %w", err)
 	}
 	return acceptErr
 }
 
-// handleConn decodes one connection's stream and writes the summary line.
-// On cancellation the connection is closed to unblock a pending read; the
-// pipeline still drains what was queued, and the summary write is then a
-// best-effort no-op on the closed socket.
+// handleConn reads one connection's frames into the pool and writes the
+// summary. On cancellation the connection is closed to unblock a pending
+// read; the pool still decodes what was admitted, and the summary write is
+// then a best-effort no-op on the closed socket.
 func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 	ctx, span := obs.StartSpan(ctx, "stream.serve_conn")
 	defer span.End()
+	s.active.Set(float64(s.activeN.Add(1)))
+	defer func() { s.active.Set(float64(s.activeN.Add(-1))) }()
 
-	done := s.metrics.connStarted()
-	defer done()
-
+	var h Header
+	var scorer FrameScorer
 	r, err := NewReader(conn)
+	if err == nil {
+		h = r.Header()
+		scorer, err = s.resolve(h)
+	}
 	if err != nil {
-		s.metrics.rejected.Inc()
+		s.rejected.Inc()
 		span.Event("rejected")
-		writeSummary(conn, Summary{Error: err.Error()})
+		writeSummary(conn, Summary{Tenant: h.Tenant, Error: err.Error()})
 		return
 	}
-	scorer, err := s.resolve(r.Header())
+	name := fmt.Sprintf("conn-%d", s.connSeq.Add(1))
+	st, err := s.pool.Open(h, scorer, name)
 	if err != nil {
-		s.metrics.rejected.Inc()
-		span.Event("rejected")
-		writeSummary(conn, Summary{Error: err.Error()})
+		// Admission refused (stream cap): the overload summary is the typed
+		// wire response — SendTrace surfaces it as ErrOverload.
+		span.Event("overload")
+		writeSummary(conn, Summary{Overload: true, Tenant: h.Tenant, Error: err.Error()})
 		return
 	}
-	opt := s.opt
-	if opt.Estimator.Window > 0 {
-		opt.Estimator.Stream = fmt.Sprintf("conn-%d", s.connSeq.Add(1))
+	stats, rerr := ingest(ctx, r, st)
+	sum := Summary{
+		Frames:    int(stats.Admitted),
+		Failures:  int(stats.Failures),
+		Tenant:    h.Tenant,
+		Shed:      stats.Shed,
+		Overload:  stats.Shed > 0,
+		Truncated: errors.Is(rerr, ErrTruncated),
 	}
-	stats, rerr := Replay(ctx, r, scorer, opt)
-	sum := Summary{Frames: stats.Frames, Failures: stats.Failures, Truncated: stats.Truncated}
-	if opt.Estimator.Window > 0 {
-		sum.Stream = opt.Estimator.Stream
+	if s.pool.cfg.Estimator.Window > 0 {
+		sum.Stream = name
 		sum.DriftEvents = stats.DriftEvents
 	}
-	if stats.Frames > 0 {
-		sum.LER = float64(stats.Failures) / float64(stats.Frames)
+	if stats.Admitted > 0 {
+		sum.LER = float64(stats.Failures) / float64(stats.Admitted)
 	}
-	if rerr != nil && !errors.Is(rerr, ErrTruncated) {
+	if rerr != nil && !sum.Truncated {
 		sum.Error = rerr.Error()
 	}
-	span.SetAttr("frames", stats.Frames)
 	writeSummary(conn, sum)
 }
 
@@ -263,7 +254,7 @@ type CloseWriter interface {
 // When the server sheds the stream the returned error wraps ErrOverload and
 // the Summary still carries the server's accounting (admitted frames, shed
 // count, tenant). This holds even when the send itself fails mid-copy: a
-// fleet server that refuses admission writes its rejection summary and
+// server that refuses admission writes its rejection summary and
 // closes, which surfaces client-side as a write error (EPIPE/RST) — before
 // reporting corruption, SendTrace reads whatever summary the server managed
 // to send and classifies from it. A summary that carries Error is returned

@@ -16,17 +16,26 @@ import (
 
 // startTestServer spins a server on a loopback listener and returns the
 // address, the cancel handle, and the Serve result channel.
-func startTestServer(t *testing.T, resolve func(stream.Header) (stream.FrameScorer, error), opt stream.PipelineOptions) (net.Addr, context.CancelFunc, <-chan error) {
+func startTestServer(t *testing.T, resolve func(stream.Header) (stream.FrameScorer, error), cfg stream.Config) (net.Addr, context.CancelFunc, <-chan error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	srv := stream.NewServer(resolve, opt)
+	srv := stream.NewServer(cfg, resolve)
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ctx, ln) }()
 	return ln.Addr(), cancel, served
+}
+
+// forEachBackpressure runs test once per pool policy, as subtests named
+// after it. Tests that must not shed under Shed size StreamQueue to hold
+// their whole stream.
+func forEachBackpressure(t *testing.T, test func(t *testing.T, bp stream.Backpressure)) {
+	for _, bp := range []stream.Backpressure{stream.Block, stream.Shed} {
+		t.Run(bp.String(), func(t *testing.T) { test(t, bp) })
+	}
 }
 
 // TestServerTruncatedFinalFrame: a client whose stream dies halfway through
@@ -34,6 +43,10 @@ func startTestServer(t *testing.T, resolve func(stream.Header) (stream.FrameScor
 // truncation flagged, and no error (truncation is a stream property, not a
 // server failure).
 func TestServerTruncatedFinalFrame(t *testing.T) {
+	forEachBackpressure(t, testServerTruncatedFinalFrame)
+}
+
+func testServerTruncatedFinalFrame(t *testing.T, bp stream.Backpressure) {
 	spec := memorySpec(t, 3, 3e-3, 300)
 	eng := mc.New(mc.Options{})
 	raw := recordTrace(t, spec)
@@ -43,7 +56,9 @@ func TestServerTruncatedFinalFrame(t *testing.T) {
 	}
 	cat := stream.NewCatalog()
 	cat.Register(fd.CircuitFingerprint(), fd)
-	addr, cancel, served := startTestServer(t, cat.Resolve, stream.PipelineOptions{Workers: 2, Metrics: obs.Discard})
+	addr, cancel, served := startTestServer(t, cat.Resolve, stream.Config{
+		Workers: 2, StreamQueue: spec.Shots, Backpressure: bp, Metrics: obs.Discard,
+	})
 	defer cancel()
 
 	frameLen := 4 + 8 + stream.FrameBytes(spec.Circuit.NumDetectors) + 4
@@ -75,6 +90,10 @@ func TestServerTruncatedFinalFrame(t *testing.T) {
 // correctly, (b) unblock every stalled connection, and (c) return from
 // Serve after the drain — no handler leak, no hang.
 func TestServerConcurrentCancellation(t *testing.T) {
+	forEachBackpressure(t, testServerConcurrentCancellation)
+}
+
+func testServerConcurrentCancellation(t *testing.T, bp stream.Backpressure) {
 	spec := memorySpec(t, 3, 3e-3, 400)
 	eng := mc.New(mc.Options{})
 	want, err := eng.Evaluate(context.Background(), spec)
@@ -88,7 +107,9 @@ func TestServerConcurrentCancellation(t *testing.T) {
 	}
 	cat := stream.NewCatalog()
 	cat.Register(fd.CircuitFingerprint(), fd)
-	addr, cancel, served := startTestServer(t, cat.Resolve, stream.PipelineOptions{Workers: 2, Metrics: obs.Discard})
+	addr, cancel, served := startTestServer(t, cat.Resolve, stream.Config{
+		Workers: 2, StreamQueue: spec.Shots, Backpressure: bp, Metrics: obs.Discard,
+	})
 	defer cancel()
 
 	// One client runs to completion first; its summary must be exact.

@@ -20,6 +20,10 @@ import (
 // the sink before handing control back. Before that ordering existed, the
 // trailing frames never reached the estimators and the event was lost.
 func TestServerShutdownFlushesPartialWindowEvents(t *testing.T) {
+	forEachBackpressure(t, testServerShutdownFlushesPartialWindowEvents)
+}
+
+func testServerShutdownFlushesPartialWindowEvents(t *testing.T, bp stream.Backpressure) {
 	const (
 		numDet = 8
 		window = 100
@@ -54,8 +58,8 @@ func TestServerShutdownFlushesPartialWindowEvents(t *testing.T) {
 	health := stream.NewHealthRegistry()
 	addr, cancel, served := startTestServer(t,
 		func(stream.Header) (stream.FrameScorer, error) { return parityScorer{}, nil },
-		stream.PipelineOptions{
-			Workers: 2, Metrics: obs.Discard,
+		stream.Config{
+			Workers: 2, Backpressure: bp, Metrics: obs.Discard,
 			Estimator: stream.EstimatorConfig{
 				Window:          window,
 				BaselineWindows: 1,

@@ -88,13 +88,16 @@ func TestRecordReplayMatchesEvaluate(t *testing.T) {
 }
 
 // gatedScorer blocks every ScoreFrame call until its gate closes, so tests
-// can hold the pipeline's decode stage and observe queueing behaviour.
+// can hold the pool's workers and observe queueing behaviour. entered
+// counts calls that reached the gate (i.e. frames a worker has claimed).
 type gatedScorer struct {
-	gate   chan struct{}
-	scored atomic.Int64
+	gate    chan struct{}
+	entered atomic.Int64
+	scored  atomic.Int64
 }
 
 func (g *gatedScorer) ScoreFrame(syndrome []int, actual uint64) bool {
+	g.entered.Add(1)
 	<-g.gate
 	g.scored.Add(1)
 	return actual&1 == 1
@@ -293,7 +296,7 @@ func TestServerConcurrentStreams(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	srv := stream.NewServer(cat.Resolve, stream.PipelineOptions{Workers: 2, Metrics: obs.Discard})
+	srv := stream.NewServer(stream.Config{Workers: 2, Metrics: obs.Discard}, cat.Resolve)
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ctx, ln) }()
 
@@ -362,7 +365,7 @@ func TestServerRejectsUnknownCircuit(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	srv := stream.NewServer(stream.NewCatalog().Resolve, stream.PipelineOptions{Metrics: obs.Discard})
+	srv := stream.NewServer(stream.Config{Metrics: obs.Discard}, stream.NewCatalog().Resolve)
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ctx, ln) }()
 
@@ -430,6 +433,10 @@ func TestSendTraceRejectionBeatsHalfCloseError(t *testing.T) {
 // connection read and return from Serve; the stalled client sees its
 // connection closed.
 func TestServerDrainingShutdown(t *testing.T) {
+	forEachBackpressure(t, testServerDrainingShutdown)
+}
+
+func testServerDrainingShutdown(t *testing.T, bp stream.Backpressure) {
 	g := &gatedScorer{gate: make(chan struct{})}
 	close(g.gate)
 	resolve := func(stream.Header) (stream.FrameScorer, error) { return g, nil }
@@ -439,7 +446,7 @@ func TestServerDrainingShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	srv := stream.NewServer(resolve, stream.PipelineOptions{Metrics: obs.Discard})
+	srv := stream.NewServer(stream.Config{Backpressure: bp, Metrics: obs.Discard}, resolve)
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ctx, ln) }()
 
