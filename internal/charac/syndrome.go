@@ -84,10 +84,12 @@ func LocalizeDrift(baseline, observed []float64, shots int, detOwners [][]int, n
 
 // DetectorOwners derives, for a patch's memory circuit, the qubits each
 // detector watches: the data support and measurement ancillas of its check.
-// It reproduces code.MemoryCircuit's emission order — a memory-basis-only
-// prefix in round 0, every check per later round, and a memory-basis
-// readout suffix — so the table aligns index-for-index with the circuit's
-// detectors.
+// It re-derives the detector order that code's epoch loop emits for a
+// single epoch — a memory-basis-only prefix in round 0, every check per
+// later round, and a memory-basis readout suffix — so the table aligns
+// index-for-index with code.MemoryCircuit's detectors, as
+// TestDetectorOwnersAligned checks. Multi-epoch code.TimelineCircuit
+// circuits add and drop detectors at each deformation and are not covered.
 func DetectorOwners(p *code.Patch, rounds int, basis lattice.Basis) [][]int {
 	own := func(c *code.Check) []int {
 		var qs []int

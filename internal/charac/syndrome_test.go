@@ -2,26 +2,53 @@ package charac
 
 import (
 	"caliqec/internal/code"
+	"caliqec/internal/deform"
 	"caliqec/internal/lattice"
 	"caliqec/internal/noise"
 	"caliqec/internal/rng"
+	"fmt"
+	"slices"
 	"testing"
 )
 
+// TestDetectorOwnersAligned pins DetectorOwners to the circuit generator's
+// detector order: for every detector of the memory circuit, the qubit whose
+// measurement closes it must be one of the qubits its table entry watches.
 func TestDetectorOwnersAligned(t *testing.T) {
-	p := code.NewPatch(lattice.NewSquare(3))
-	rounds := 4
-	c, err := p.MemoryCircuit(code.MemoryOptions{Rounds: rounds, Basis: lattice.BasisZ})
-	if err != nil {
-		t.Fatal(err)
-	}
-	owners := DetectorOwners(p, rounds, lattice.BasisZ)
-	if len(owners) != c.NumDetectors {
-		t.Fatalf("owners table has %d entries, circuit has %d detectors", len(owners), c.NumDetectors)
-	}
-	for i, qs := range owners {
-		if len(qs) == 0 {
-			t.Errorf("detector %d owns no qubits", i)
+	const rounds = 4
+	for _, kind := range []lattice.Kind{lattice.Square, lattice.HeavyHex} {
+		for _, d := range []int{3, 5} {
+			for _, isolated := range []bool{false, true} {
+				var p *code.Patch
+				if kind == lattice.Square {
+					p = code.NewPatch(lattice.NewSquare(d))
+				} else {
+					p = code.NewPatch(lattice.NewHeavyHex(d))
+				}
+				if isolated {
+					df := deform.NewDeformer(p)
+					if _, err := df.IsolateQubit(p.Lat.DataID[[2]int{d / 2, d / 2}], "centre"); err != nil {
+						t.Fatalf("%v d=%d: %v", kind, d, err)
+					}
+					p = df.Patch
+				}
+				for _, basis := range []lattice.Basis{lattice.BasisZ, lattice.BasisX} {
+					name := fmt.Sprintf("%v d=%d isolated=%v memory-%v", kind, d, isolated, basis)
+					c, err := p.MemoryCircuit(code.MemoryOptions{Rounds: rounds, Basis: basis})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					owners := DetectorOwners(p, rounds, basis)
+					if len(owners) != c.NumDetectors {
+						t.Fatalf("%s: owners table has %d entries, circuit has %d detectors", name, len(owners), c.NumDetectors)
+					}
+					for i, q := range c.DetectorQubits() {
+						if !slices.Contains(owners[i], q) {
+							t.Errorf("%s: detector %d is closed by qubit %d, which its owners %v omit", name, i, q, owners[i])
+						}
+					}
+				}
+			}
 		}
 	}
 }

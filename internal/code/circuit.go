@@ -99,103 +99,19 @@ type MemoryOptions struct {
 // MemoryCircuit generates the full memory experiment for the patch: data
 // initialization, Rounds cycles of gauge measurements with round-to-round
 // detectors, transversal data readout with final-round detectors, and the
-// logical observable. Observable 0 is the memory-basis logical.
+// logical observable. Observable 0 is the memory-basis logical. It is the
+// one-epoch deformation timeline, so both share one generator.
 func (p *Patch) MemoryCircuit(opt MemoryOptions) (*circuit.Circuit, error) {
 	if opt.Rounds < 1 {
 		return nil, fmt.Errorf("code: MemoryCircuit needs ≥ 1 round, got %d", opt.Rounds)
 	}
-	if opt.Noise == nil {
-		opt.Noise = UniformNoise(0)
-	}
-	g := newCircuitGen(p, opt.Noise)
-	b := g.b
-
-	// Initialize data qubits in the memory basis.
-	data := p.dataQubits()
-	if opt.Basis == lattice.BasisZ {
-		for _, q := range data {
-			b.Reset(opt.Noise.Reset(q), q)
-		}
-	} else {
-		for _, q := range data {
-			b.ResetX(opt.Noise.Reset(q), q)
-		}
-	}
-	b.Tick()
-
 	if opt.Interleaved {
 		if err := p.interleavable(); err != nil {
 			return nil, err
 		}
 	}
-
-	var prev map[int][]int // check ID -> gauge record indices of prior round
-	for r := 0; r < opt.Rounds; r++ {
-		// Data qubits idle (or are dynamically decoupled) while syndromes
-		// are extracted: one single-qubit depolarizing channel per round at
-		// the qubit's 1Q-gate rate. This is where single-qubit gate drift
-		// on data qubits enters the logical error rate.
-		for _, q := range data {
-			b.Depolarize1(opt.Noise.Gate1(q), q)
-		}
-		var cur map[int][]int
-		if opt.Interleaved {
-			cur = g.measureRoundInterleaved(p.Checks)
-		} else {
-			cur = g.measureRound(p.Checks)
-		}
-		for _, c := range p.Checks {
-			recs := cur[c.ID]
-			if r == 0 {
-				// First round: only the memory-basis checks have
-				// deterministic values (their gauges stabilize the fresh
-				// product state).
-				if c.Basis == opt.Basis {
-					b.Detector(recs...)
-				}
-				continue
-			}
-			b.Detector(append(append([]int(nil), prev[c.ID]...), recs...)...)
-		}
-		prev = cur
-		b.Tick()
-	}
-
-	// Transversal readout in the memory basis.
-	dataRec := map[int]int{}
-	for _, q := range data {
-		var rec []int
-		if opt.Basis == lattice.BasisZ {
-			rec = b.M(opt.Noise.Meas(q), q)
-		} else {
-			rec = b.MX(opt.Noise.Meas(q), q)
-		}
-		dataRec[q] = rec[0]
-	}
-	// Final detectors: each memory-basis check compared against the parity
-	// of its support in the data readout.
-	for _, c := range p.Checks {
-		if c.Basis != opt.Basis {
-			continue
-		}
-		recs := append([]int(nil), prev[c.ID]...)
-		for _, q := range c.Support() {
-			recs = append(recs, dataRec[q])
-		}
-		b.Detector(recs...)
-	}
-	// Logical observable from the data readout.
-	logical := p.LogicalZ
-	if opt.Basis == lattice.BasisX {
-		logical = p.LogicalX
-	}
-	var obsRecs []int
-	for _, q := range logical {
-		obsRecs = append(obsRecs, dataRec[q])
-	}
-	b.Observable(0, obsRecs...)
-
-	return b.Build(), nil
+	epochs := []Epoch{{Patch: p, Rounds: opt.Rounds}}
+	return generate(epochs, TimelineOptions{Basis: opt.Basis, Noise: opt.Noise}, opt.Interleaved), nil
 }
 
 // dataQubits returns the non-removed data qubits of the patch.
@@ -206,13 +122,8 @@ func (p *Patch) dataQubits() []int {
 
 // circuitGen holds shared state for emitting gauge-measurement rounds.
 type circuitGen struct {
-	p     *Patch
 	b     *circuit.Builder
 	noise NoiseModel
-}
-
-func newCircuitGen(p *Patch, n NoiseModel) *circuitGen {
-	return &circuitGen{p: p, b: circuit.NewBuilder(p.Lat.NumQubits()), noise: n}
 }
 
 // measureRound emits one full QEC round: all X-basis gauges first, then all

@@ -24,7 +24,9 @@ type TimelineOptions struct {
 // TimelineCircuit builds one continuous memory experiment that runs
 // *through* code deformations: epoch k's checks are measured for its
 // rounds, then the qubits leaving the code are measured out, the qubits
-// re-entering are reset, and epoch k+1's checks take over.
+// re-entering are reset, and epoch k+1's checks take over. Every round
+// carries the same noise as a MemoryCircuit round, data-idle channel
+// included; a one-epoch timeline is MemoryCircuit's sequential circuit.
 //
 // The fault-tolerance bookkeeping across each transition is the gauge-
 // fixing rule of §2.2: a new check is compared against the past iff its
@@ -46,9 +48,6 @@ func TimelineCircuit(epochs []Epoch, opt TimelineOptions) (*circuit.Circuit, err
 	if len(epochs) == 0 {
 		return nil, fmt.Errorf("code: timeline needs ≥ 1 epoch")
 	}
-	if opt.Noise == nil {
-		opt.Noise = UniformNoise(0)
-	}
 	lat := epochs[0].Patch.Lat
 	logical := logicalSupport(epochs[0].Patch, opt.Basis)
 	for i, e := range epochs {
@@ -66,149 +65,73 @@ func TimelineCircuit(epochs []Epoch, opt TimelineOptions) (*circuit.Circuit, err
 			return nil, fmt.Errorf("code: epoch %d moved the logical representative; timelines need a stable logical", i)
 		}
 	}
+	return generate(epochs, opt, false), nil
+}
 
-	g := newCircuitGen(epochs[0].Patch, opt.Noise)
+// generate emits the memory experiment over a validated epoch sequence;
+// MemoryCircuit is its one-epoch case. Every round, each data qubit of the
+// epoch first idles (or is dynamically decoupled) through one single-qubit
+// depolarizing channel at its 1Q-gate rate — where single-qubit gate drift
+// on data qubits enters the logical error rate — and then the epoch's
+// checks are measured by the sequential X-then-Z schedule, or by the
+// interleaved one when interleaved is set.
+func generate(epochs []Epoch, opt TimelineOptions, interleaved bool) *circuit.Circuit {
+	if opt.Noise == nil {
+		opt.Noise = UniformNoise(0)
+	}
+	g := &circuitGen{b: circuit.NewBuilder(epochs[0].Patch.Lat.NumQubits()), noise: opt.Noise}
 	b := g.b
+	measure := g.measureRound
+	if interleaved {
+		measure = g.measureRoundInterleaved
+	}
 
 	// Initialize epoch 0's data qubits in the memory basis.
-	prevData := epochs[0].Patch.dataQubits()
-	resetData(b, opt, prevData)
+	data := epochs[0].Patch.dataQubits()
+	resetData(b, opt, data)
 	b.Tick()
 
 	// lastRecs maps a check ID to its most recent round's gauge records.
 	var lastRecs map[int][]int
-
-	for ei := range epochs {
-		patch := epochs[ei].Patch
-		g.p = patch
-		var transDet map[int][]int // check ID -> extra records for its first-round detector
-		freshs := map[int]bool{}   // checks with no transition predictor
-		var pairDets []pairDet     // predictable products of fresh check pairs
-
+	for ei, e := range epochs {
+		var tr transition
 		if ei > 0 {
-			prev := epochs[ei-1].Patch
-			curData := patch.dataQubits()
-			leaving := diffInts(prevData, curData)
-			entering := diffInts(curData, prevData)
-			// Measure out leaving qubits in the memory basis.
-			leavingRec := map[int]int{}
-			for _, q := range leaving {
-				var rec []int
-				if opt.Basis == lattice.BasisZ {
-					rec = b.M(opt.Noise.Meas(q), q)
-				} else {
-					rec = b.MX(opt.Noise.Meas(q), q)
-				}
-				leavingRec[q] = rec[0]
-			}
-			// Reset entering qubits in the memory basis (known +1
-			// single-qubit stabilizers, no record).
-			resetData(b, opt, entering)
-
-			// Build the transition solve per new check.
-			var olds []transOld
-			for _, c := range prev.Checks {
-				if c.Basis != opt.Basis {
-					continue
-				}
-				sup := map[int]bool{}
-				for _, q := range c.Support() {
-					sup[q] = true
-				}
-				olds = append(olds, transOld{op: sup, recs: lastRecs[c.ID]})
-			}
-			var singles []transSingle
-			for _, q := range leaving {
-				singles = append(singles, transSingle{q, leavingRec[q]})
-			}
-			for _, q := range entering {
-				singles = append(singles, transSingle{q, -1})
-			}
-			transDet = map[int][]int{}
-			var freshMem []*Check // memory-basis checks with no individual predictor
-			for _, c := range patch.Checks {
-				if c.Basis != opt.Basis {
-					// Non-memory-basis checks are never deterministic at a
-					// transition in a memory experiment; they re-anchor via
-					// in-epoch comparisons (their operators are unchanged
-					// unless the instruction touched them, in which case
-					// they also start fresh).
-					if sameOpInPrev(c, prev) {
-						continue // keeps cross-epoch comparison, handled below
-					}
-					freshs[c.ID] = true
-					continue
-				}
-				sel, ok := solveTransition(c, olds, singles)
-				if !ok {
-					freshs[c.ID] = true
-					freshMem = append(freshMem, c)
-					continue
-				}
-				var recs []int
-				for _, oi := range sel.oldIdx {
-					recs = append(recs, olds[oi].recs...)
-				}
-				recs = append(recs, sel.singleRecs...)
-				transDet[c.ID] = recs
-			}
-			// Second pass: individually-fresh checks may still have
-			// predictable *products* (e.g. two checks split from a
-			// reintegrated super-stabilizer multiply back to it, the
-			// Stace–Barrett reintegration comparison). Solve pairs.
-			for i := 0; i < len(freshMem); i++ {
-				for j := i + 1; j < len(freshMem); j++ {
-					a, bb := freshMem[i], freshMem[j]
-					if a == nil || bb == nil {
-						continue
-					}
-					combined := &Check{Basis: a.Basis, Gauges: append(append([]*Gauge(nil), a.Gauges...), bb.Gauges...)}
-					sel, ok := solveTransition(combined, olds, singles)
-					if !ok {
-						continue
-					}
-					var recs []int
-					for _, oi := range sel.oldIdx {
-						recs = append(recs, olds[oi].recs...)
-					}
-					recs = append(recs, sel.singleRecs...)
-					pairDets = append(pairDets, pairDet{a: a.ID, b: bb.ID, extra: recs})
-					freshMem[i], freshMem[j] = nil, nil
-					break
-				}
-			}
+			prevData := data
+			data = e.Patch.dataQubits()
+			tr = enter(b, opt, epochs[ei-1].Patch, e.Patch, prevData, data, lastRecs)
 			b.Tick()
 		}
-
-		cur := map[int][]int{}
-		for r := 0; r < epochs[ei].Rounds; r++ {
-			cur = g.measureRound(patch.Checks)
-			for _, c := range patch.Checks {
+		for r := 0; r < e.Rounds; r++ {
+			for _, q := range data {
+				b.Depolarize1(opt.Noise.Gate1(q), q)
+			}
+			cur := measure(e.Patch.Checks)
+			for _, c := range e.Patch.Checks {
 				recs := cur[c.ID]
-				switch {
-				case ei == 0 && r == 0:
+				if r == 0 && ei == 0 {
+					// First round: only the memory-basis checks have
+					// deterministic values (their gauges stabilize the
+					// fresh product state).
 					if c.Basis == opt.Basis {
 						b.Detector(recs...)
 					}
-				case r == 0 && transDet != nil:
-					if extra, ok := transDet[c.ID]; ok {
+					continue
+				}
+				if r == 0 {
+					if extra, ok := tr.extra[c.ID]; ok {
 						b.Detector(append(append([]int(nil), extra...), recs...)...)
 						continue
 					}
-					if freshs[c.ID] {
+					if tr.fresh[c.ID] {
 						continue // fresh stabilizer: first comparison next round
 					}
-					// Check survived the transition with the same operator:
-					// compare across the epoch boundary.
-					if old, ok := lastRecs[c.ID]; ok && sameOpInPrev(c, epochs[ei-1].Patch) {
-						b.Detector(append(append([]int(nil), old...), recs...)...)
-					}
-				default:
-					b.Detector(append(append([]int(nil), lastRecs[c.ID]...), recs...)...)
+					// The check survived the transition with the same
+					// operator: compare across the epoch boundary.
 				}
+				b.Detector(append(append([]int(nil), lastRecs[c.ID]...), recs...)...)
 			}
-			if r == 0 && len(pairDets) > 0 {
-				for _, pd := range pairDets {
+			if r == 0 {
+				for _, pd := range tr.pairs {
 					recs := append([]int(nil), pd.extra...)
 					recs = append(recs, cur[pd.a]...)
 					recs = append(recs, cur[pd.b]...)
@@ -218,21 +141,13 @@ func TimelineCircuit(epochs []Epoch, opt TimelineOptions) (*circuit.Circuit, err
 			lastRecs = cur
 			b.Tick()
 		}
-		prevData = patch.dataQubits()
 	}
 
-	// Final transversal readout of the last epoch.
+	// Transversal readout of the last epoch: each memory-basis check is
+	// compared against the parity of its support in the data readout, and
+	// the logical observable is read from it.
 	last := epochs[len(epochs)-1].Patch
-	dataRec := map[int]int{}
-	for _, q := range last.dataQubits() {
-		var rec []int
-		if opt.Basis == lattice.BasisZ {
-			rec = b.M(opt.Noise.Meas(q), q)
-		} else {
-			rec = b.MX(opt.Noise.Meas(q), q)
-		}
-		dataRec[q] = rec[0]
-	}
+	dataRec := measureData(b, opt, data)
 	for _, c := range last.Checks {
 		if c.Basis != opt.Basis {
 			continue
@@ -248,7 +163,88 @@ func TimelineCircuit(epochs []Epoch, opt TimelineOptions) (*circuit.Circuit, err
 		obsRecs = append(obsRecs, dataRec[q])
 	}
 	b.Observable(0, obsRecs...)
-	return b.Build(), nil
+	return b.Build()
+}
+
+// transition says how an epoch's first-round detectors reach back across
+// the deformation that began it.
+type transition struct {
+	extra map[int][]int // check ID -> earlier records its first detector adds
+	fresh map[int]bool  // checks with no predictor: first compared next round
+	pairs []pairDet     // predictable products of fresh check pairs
+}
+
+// enter emits the deformation from epoch prev to next — the qubits leaving
+// the code are measured out and the qubits entering it are reset, both in
+// the memory basis — and solves the gauge-fixing rule for next's checks.
+func enter(b *circuit.Builder, opt TimelineOptions, prev, next *Patch, prevData, nextData []int, lastRecs map[int][]int) transition {
+	leaving := diffInts(prevData, nextData)
+	entering := diffInts(nextData, prevData)
+	leavingRec := measureData(b, opt, leaving)
+	// Entering qubits are known +1 single-qubit stabilizers, with no record.
+	resetData(b, opt, entering)
+
+	var olds []transOld
+	for _, c := range prev.Checks {
+		if c.Basis != opt.Basis {
+			continue
+		}
+		sup := map[int]bool{}
+		for _, q := range c.Support() {
+			sup[q] = true
+		}
+		olds = append(olds, transOld{op: sup, recs: lastRecs[c.ID]})
+	}
+	var singles []transSingle
+	for _, q := range leaving {
+		singles = append(singles, transSingle{q, leavingRec[q]})
+	}
+	for _, q := range entering {
+		singles = append(singles, transSingle{q, -1})
+	}
+	tr := transition{extra: map[int][]int{}, fresh: map[int]bool{}}
+	var freshMem []*Check // memory-basis checks with no individual predictor
+	for _, c := range next.Checks {
+		if c.Basis != opt.Basis {
+			// Non-memory-basis checks are never deterministic at a
+			// transition in a memory experiment; they re-anchor via
+			// in-epoch comparisons (their operators are unchanged unless
+			// the instruction touched them, in which case they also start
+			// fresh).
+			if !sameOpInPrev(c, prev) {
+				tr.fresh[c.ID] = true
+			}
+			continue
+		}
+		recs, ok := solveTransition(c, olds, singles)
+		if !ok {
+			tr.fresh[c.ID] = true
+			freshMem = append(freshMem, c)
+			continue
+		}
+		tr.extra[c.ID] = recs
+	}
+	// Second pass: individually-fresh checks may still have predictable
+	// *products* (e.g. two checks split from a reintegrated super-stabilizer
+	// multiply back to it, the Stace–Barrett reintegration comparison).
+	// Solve pairs.
+	for i := 0; i < len(freshMem); i++ {
+		for j := i + 1; j < len(freshMem); j++ {
+			a, bb := freshMem[i], freshMem[j]
+			if a == nil || bb == nil {
+				continue
+			}
+			combined := &Check{Basis: a.Basis, Gauges: append(append([]*Gauge(nil), a.Gauges...), bb.Gauges...)}
+			recs, ok := solveTransition(combined, olds, singles)
+			if !ok {
+				continue
+			}
+			tr.pairs = append(tr.pairs, pairDet{a: a.ID, b: bb.ID, extra: recs})
+			freshMem[i], freshMem[j] = nil, nil
+			break
+		}
+	}
+	return tr
 }
 
 func logicalSupport(p *Patch, basis lattice.Basis) []int {
@@ -268,6 +264,20 @@ func resetData(b *circuit.Builder, opt TimelineOptions, qubits []int) {
 	}
 }
 
+// measureData measures qubits out in the memory basis and returns each
+// qubit's record index.
+func measureData(b *circuit.Builder, opt TimelineOptions, qubits []int) map[int]int {
+	recs := map[int]int{}
+	for _, q := range qubits {
+		if opt.Basis == lattice.BasisZ {
+			recs[q] = b.M(opt.Noise.Meas(q), q)[0]
+		} else {
+			recs[q] = b.MX(opt.Noise.Meas(q), q)[0]
+		}
+	}
+	return recs
+}
+
 // sameOpInPrev reports whether a check with the same ID and operator exists
 // in the previous patch (it survived the transition untouched).
 func sameOpInPrev(c *Check, prev *Patch) bool {
@@ -279,11 +289,6 @@ func sameOpInPrev(c *Check, prev *Patch) bool {
 type pairDet struct {
 	a, b  int
 	extra []int
-}
-
-type transitionSel struct {
-	oldIdx     []int
-	singleRecs []int
 }
 
 // transOld is one previous-epoch check available to the transition solve.
@@ -300,8 +305,10 @@ type transSingle struct {
 }
 
 // solveTransition expresses the new check's operator as a GF(2) combination
-// of old check operators and known single-qubit operators.
-func solveTransition(c *Check, olds []transOld, singles []transSingle) (transitionSel, bool) {
+// of old check operators and known single-qubit operators, and returns the
+// records that combination compares against: the chosen old checks' gauge
+// records, then the readouts of the chosen measured-out qubits.
+func solveTransition(c *Check, olds []transOld, singles []transSingle) ([]int, bool) {
 	// Column index over all data qubits mentioned anywhere.
 	cols := map[int]int{}
 	addQ := func(q int) {
@@ -337,22 +344,20 @@ func solveTransition(c *Check, olds []transOld, singles []transSingle) (transiti
 	}
 	x, ok := m.Solve(bvec)
 	if !ok {
-		return transitionSel{}, false
+		return nil, false
 	}
-	var sel transitionSel
-	for gi := 0; gi < len(olds); gi++ {
+	var recs []int
+	for gi, o := range olds {
 		if x.Get(gi) {
-			sel.oldIdx = append(sel.oldIdx, gi)
+			recs = append(recs, o.recs...)
 		}
 	}
-	for si := 0; si < len(singles); si++ {
-		if x.Get(len(olds) + si) {
-			if singles[si].rec >= 0 {
-				sel.singleRecs = append(sel.singleRecs, singles[si].rec)
-			}
+	for si, s := range singles {
+		if x.Get(len(olds)+si) && s.rec >= 0 {
+			recs = append(recs, s.rec)
 		}
 	}
-	return sel, true
+	return recs, true
 }
 
 func sameInts(a, b []int) bool {

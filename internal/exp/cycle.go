@@ -17,9 +17,11 @@ import (
 // memory experiment that runs *through* a full CaliQEC calibration cycle —
 // pristine rounds, DataQ_RM isolation, deformed rounds with gauge-fixing
 // transition detectors, reintegration, pristine rounds — and decodes it end
-// to end. The headline: the cycle's logical error rate stays within noise
-// of the static code's, i.e. in-situ calibration costs essentially nothing
-// at the circuit level.
+// to end. The headline: the cycle's logical error rate stays within a small
+// factor of the static code's over the same rounds, although one qubit is
+// out of the code for a third of them, i.e. in-situ calibration keeps the
+// code's protection at the circuit level. Both circuits come from the same
+// generator, so they carry the same per-round noise.
 func CycleLER(ctx context.Context, seed uint64) (*Report, error) {
 	const (
 		d      = 5
