@@ -279,7 +279,12 @@ func (f *Frame) Syndrome(buf []int) []int {
 	return buf
 }
 
-// Reader parses a trace from any io.Reader. Not safe for concurrent use.
+// Reader parses a trace from any io.Reader. It does no read-ahead: Next
+// pulls exactly one frame's bytes from the source, in two reads (length
+// prefix, then payload and CRC). Replay's Block bound on how far it reads
+// ahead of the decoders rests on that. Callers that read a socket or a
+// file wrap it in a bufio.Reader, as Server and cmd/caliqec do, so that
+// one read serves many frames. Not safe for concurrent use.
 type Reader struct {
 	r       io.Reader
 	h       Header

@@ -138,48 +138,59 @@ func (b *tokenBucket) take(clock func() time.Time) bool {
 	return false
 }
 
-// frame is one admitted decode work item. idx is the stream's dense
-// admitted-frame index (shed frames consume none), which keys the drift
-// monitor's windows scheduling-independently.
+// frame is one admitted frame's scheduling record; its packed detector
+// bytes live in the frameRing slab slot of the same index. idx is the
+// stream's dense admitted-frame index (shed frames consume none), which
+// keys the drift monitor's windows scheduling-independently.
 type frame struct {
-	idx    int64
-	obs    uint64
-	packed []byte
+	idx int64
+	obs uint64
 }
 
 // frameRing is a stream's FIFO of admitted frames: a circular buffer whose
-// length is a power of two, doubled on demand. Admission never queues more
-// than the pool's StreamQueue frames, so a stream that stays backlogged
-// for any number of frames reuses its slots and the buffer never exceeds
-// max(8, 2×StreamQueue) entries.
+// length is a power of two, doubled on demand, with each slot's packed
+// bytes at slab[slot×fbytes:] in a byte slab the ring owns. Admission
+// never queues more than the pool's StreamQueue frames, so a stream that
+// stays backlogged for any number of frames reuses its slots, and the
+// buffer never exceeds max(8, 2×StreamQueue) entries nor the slab that
+// many frames of bytes.
 type frameRing struct {
-	buf  []frame
-	head int
-	n    int
+	buf    []frame
+	slab   []byte
+	fbytes int // packed bytes per frame, fixed when the stream opens
+	head   int
+	n      int
 }
 
-// push appends f, growing the buffer when every slot is taken.
-func (r *frameRing) push(f frame) {
+// push appends f with a copy of its packed bytes (zero-padded to fbytes),
+// growing the ring when every slot is taken. Growth relays the queued
+// frames into the new buffer and slab in FIFO order.
+func (r *frameRing) push(f frame, packed []byte) {
 	if r.n == len(r.buf) {
-		n := r.n
-		grown := r.pop(make([]frame, 0, max(8, 2*n)), n)
-		r.buf, r.head, r.n = grown[:cap(grown)], 0, n
+		n, size := r.n, max(8, 2*r.n)
+		buf, slab := r.pop(make([]frame, 0, size), make([]byte, 0, size*r.fbytes), n)
+		r.buf, r.slab, r.head, r.n = buf[:size], slab[:size*r.fbytes], 0, n
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = f
+	i := (r.head + r.n) & (len(r.buf) - 1)
+	r.buf[i] = f
+	slot := r.slab[i*r.fbytes : (i+1)*r.fbytes]
+	clear(slot[copy(slot, packed):])
 	r.n++
 }
 
-// pop appends the n oldest frames to dst and removes them from the ring.
-func (r *frameRing) pop(dst []frame, n int) []frame {
-	mask := len(r.buf) - 1
-	for i := 0; i < n; i++ {
-		j := (r.head + i) & mask
-		dst = append(dst, r.buf[j])
-		r.buf[j] = frame{}
-	}
-	r.head = (r.head + n) & mask
+// pop appends the n oldest frames to dst and their packed bytes to packed,
+// fbytes per frame, and removes them from the ring.
+func (r *frameRing) pop(dst []frame, packed []byte, n int) ([]frame, []byte) {
+	// The n oldest slots run from head to the end of the buffer, then wrap
+	// to its start at most once.
+	k := min(n, len(r.buf)-r.head)
+	dst = append(dst, r.buf[r.head:r.head+k]...)
+	dst = append(dst, r.buf[:n-k]...)
+	packed = append(packed, r.slab[r.head*r.fbytes:(r.head+k)*r.fbytes]...)
+	packed = append(packed, r.slab[:(n-k)*r.fbytes]...)
+	r.head = (r.head + n) & (len(r.buf) - 1)
 	r.n -= n
-	return dst
+	return dst, packed
 }
 
 // tenant is one tenant's scheduler state. All fields except the metric
@@ -189,7 +200,7 @@ type tenant struct {
 	bucket tokenBucket
 
 	deficit  int       // DRR credit, in frames
-	runnable []*Stream // FIFO of streams with queued frames
+	runnable []*Stream // FIFO of streams with queued frames; see dropHead
 	queued   int       // total queued frames across runnable streams
 	open     int       // concurrently open streams (MaxStreams accounting)
 	inRing   bool
@@ -198,6 +209,16 @@ type tenant struct {
 	shed     *obs.Counter   // fleet.tenant.<id>.shed
 	depth    *obs.Gauge     // fleet.tenant.<id>.queue.depth
 	latency  *obs.Histogram // fleet.tenant.<id>.decode.latency
+}
+
+// dropHead removes the head of the runnable FIFO by shifting the rest
+// down in place. Reslicing past the head instead would leave the removed
+// stream in the backing array, pinning it and its queue after it drained,
+// and would force a reallocation every time the FIFO emptied and refilled.
+func (t *tenant) dropHead() {
+	n := copy(t.runnable, t.runnable[1:])
+	t.runnable[n] = nil
+	t.runnable = t.runnable[:n]
 }
 
 // Pool is the decode executor: a fixed set of workers claiming spans of
@@ -315,10 +336,9 @@ func (p *Pool) Open(h Header, scorer FrameScorer, name string) (*Stream, error) 
 	p.openG.Set(float64(p.openN))
 	p.mu.Unlock()
 
-	fbytes := FrameBytes(h.NumDetectors)
 	s := &Stream{p: p, t: t, scorer: scorer, done: make(chan struct{})}
 	s.space.L = &p.mu
-	s.bufs.New = func() interface{} { return make([]byte, fbytes) }
+	s.queue.fbytes = FrameBytes(h.NumDetectors)
 	if p.cfg.Estimator.Window > 0 {
 		cfg := p.cfg.Estimator
 		cfg.Stream = name
@@ -340,20 +360,24 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// worker claims and decodes spans until the pool closes and drains.
+// worker claims and decodes spans until the pool closes and drains. The
+// span's frames and packed bytes land in scratch the worker owns and
+// reuses, so decoding allocates nothing once the scratch has grown.
 func (p *Pool) worker() {
 	var syn []int
 	var span []frame
+	var packed []byte
 	for {
 		var st *Stream
-		st, span = p.claim(span)
+		st, span, packed = p.claim(span, packed)
 		if st == nil {
 			return
 		}
+		fb := st.queue.fbytes
 		failures := 0
 		for i := range span {
 			f := &span[i]
-			fr := Frame{Obs: f.obs, Packed: f.packed}
+			fr := Frame{Obs: f.obs, Packed: packed[i*fb : (i+1)*fb]}
 			syn = fr.Syndrome(syn[:0])
 			var failed bool
 			if p.latency != nil {
@@ -369,28 +393,28 @@ func (p *Pool) worker() {
 				failures++
 			}
 			st.mon.Observe(f.idx, syn, failed)
-			st.bufs.Put(f.packed)
 		}
 		p.complete(st, len(span), failures)
 	}
 }
 
-// claim blocks until a span is available (returning it in span's backing
-// array) or the pool is closed and fully drained (returning a nil stream).
-func (p *Pool) claim(span []frame) (*Stream, []frame) {
+// claim blocks until a span is available (returning its frames and packed
+// bytes in the backing arrays of span and packed) or the pool is closed and
+// fully drained (returning a nil stream).
+func (p *Pool) claim(span []frame, packed []byte) (*Stream, []frame, []byte) {
 	p.mu.Lock()
 	for {
-		if st, sp := p.claimLocked(span); st != nil {
+		if st, sp, pk := p.claimLocked(span, packed); st != nil {
 			p.busy++
 			p.occupancy.Set(float64(p.busy) / float64(p.nworkers))
 			depth := st.t.queued
 			p.mu.Unlock()
 			st.t.depth.Set(float64(depth))
-			return st, sp
+			return st, sp, pk
 		}
 		if p.closed {
 			p.mu.Unlock()
-			return nil, span
+			return nil, span, packed
 		}
 		p.cond.Wait()
 	}
@@ -398,13 +422,14 @@ func (p *Pool) claim(span []frame) (*Stream, []frame) {
 
 // claimLocked implements the deficit-round-robin claim: the cursor tenant
 // earns quantum×weight credits when out, then surrenders up to its credit
-// in consecutive frames from its head stream (moved into span's backing,
-// so the ring slots are free for new frames while the span decodes). A
-// tenant whose queues empty leaves the ring and forfeits leftover credit,
-// so an idle tenant never banks a burst. Called with mu held.
-func (p *Pool) claimLocked(span []frame) (*Stream, []frame) {
+// in consecutive frames from its head stream (copied, packed bytes
+// included, into the backing arrays of span and packed, so the ring slots
+// are free for new frames while the span decodes). A tenant whose queues
+// empty leaves the ring and forfeits leftover credit, so an idle tenant
+// never banks a burst. Called with mu held.
+func (p *Pool) claimLocked(span []frame, packed []byte) (*Stream, []frame, []byte) {
 	if len(p.ring) == 0 {
-		return nil, span
+		return nil, span, packed
 	}
 	if p.cursor >= len(p.ring) {
 		p.cursor = 0
@@ -415,17 +440,18 @@ func (p *Pool) claimLocked(span []frame) (*Stream, []frame) {
 	}
 	s := t.runnable[0]
 	n := min(s.queue.n, t.deficit)
-	span = s.queue.pop(span[:0], n)
+	span, packed = s.queue.pop(span[:0], packed[:0], n)
 	s.inflight += n
 	t.deficit -= n
 	t.queued -= n
 	if s.queue.n == 0 {
 		s.runnable = false
-		t.runnable = t.runnable[1:]
+		t.dropHead()
 	} else if len(t.runnable) > 1 {
 		// Partial drain with siblings waiting: rotate to the back so the
 		// tenant's own streams share its credit round-robin.
-		t.runnable = append(t.runnable[1:], s)
+		t.dropHead()
+		t.runnable = append(t.runnable, s)
 	}
 	switch {
 	case t.queued == 0:
@@ -435,7 +461,7 @@ func (p *Pool) claimLocked(span []frame) (*Stream, []frame) {
 	case t.deficit <= 0:
 		p.cursor++
 	}
-	return s, span
+	return s, span, packed
 }
 
 // complete commits one decoded span's accounting, wakes the stream's
@@ -463,7 +489,6 @@ type Stream struct {
 	t      *tenant
 	scorer FrameScorer
 	mon    *Monitor
-	bufs   sync.Pool
 
 	done  chan struct{}
 	space sync.Cond // signalled when decoded frames leave the stream; L is p.mu
@@ -497,8 +522,9 @@ func (s *Stream) fullLocked() bool {
 // stream is half-closed, or the pool has shut down. On a full queue a Shed
 // pool sheds at once; a Block pool waits for room, and sheds only if the
 // stream is half-closed (CloseSend from another goroutine cancels the
-// wait) or the pool closes first. packed is copied; the caller keeps
-// ownership.
+// wait) or the pool closes first. packed holds the stream's
+// FrameBytes(h.NumDetectors) bytes; it is copied into the stream's queue,
+// so the caller keeps ownership.
 func (s *Stream) Offer(packed []byte, obsMask uint64) bool {
 	p := s.p
 	p.mu.Lock()
@@ -511,9 +537,7 @@ func (s *Stream) Offer(packed []byte, obsMask uint64) bool {
 		s.t.shed.Inc()
 		return false
 	}
-	buf := s.bufs.Get().([]byte)
-	copy(buf, packed)
-	s.queue.push(frame{idx: s.nextIdx, obs: obsMask, packed: buf})
+	s.queue.push(frame{idx: s.nextIdx, obs: obsMask}, packed)
 	s.nextIdx++
 	s.admitted++
 	s.t.queued++

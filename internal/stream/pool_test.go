@@ -1,7 +1,10 @@
 package stream_test
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -476,6 +479,101 @@ func TestDRRAdmittedShareUnderPacedLoad(t *testing.T) {
 		if beyond(1) <= beyond(id) {
 			t.Errorf("weight-3 tenant admitted %d beyond fill, <= weight-1 tenant %d's %d",
 				beyond(1), id, beyond(id))
+		}
+	}
+}
+
+// TestDrainedStreamIsCollectable: a stream that has drained, closed and
+// been dropped by its owner must not stay reachable from a pool that is
+// still open. A long-lived server whose tenants pinned their last drained
+// stream would hold that stream and its queue until a later stream
+// displaced it.
+func TestDrainedStreamIsCollectable(t *testing.T) {
+	forEachBackpressure(t, testDrainedStreamIsCollectable)
+}
+
+func testDrainedStreamIsCollectable(t *testing.T, bp stream.Backpressure) {
+	p := stream.NewPool(stream.Config{Workers: 2, Backpressure: bp, Metrics: obs.Discard})
+	defer p.Close()
+	collected := make(chan struct{})
+	func() {
+		st, err := p.Open(testHeader(16, 0), parityScorer{}, "s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(st, func(*stream.Stream) { close(collected) })
+		offerAll(st, 2, 4096)
+		st.CloseSend()
+		<-st.Done()
+		st.Close()
+	}()
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("a drained, closed and dropped stream is still reachable from its open pool")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// TestAllocsDoNotGrowWithFrames: admitting and decoding a frame allocates
+// nothing in steady state, so a 4096-frame stream allocates about as many
+// objects as a 1024-frame one. What remains is per stream and per pool
+// (the pool, the stream, its queue's doublings, the workers' scratch). Two
+// paths: Replay, which runs one Block stream on a private pool, and a
+// stream opened on a Shed pool that stays open.
+func TestAllocsDoNotGrowWithFrames(t *testing.T) {
+	const numDet = 120
+	traces := map[int][]byte{}
+	for _, n := range []int{1024, 4096} {
+		traces[n] = syntheticTrace(t, numDet, n)
+	}
+	replay := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			r, err := stream.NewReader(bytes.NewReader(traces[n]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := stream.Replay(context.Background(), r, parityScorer{}, stream.PipelineOptions{Metrics: obs.Discard})
+			if err != nil || stats.Frames != n {
+				t.Fatalf("replayed %d of %d frames: %v", stats.Frames, n, err)
+			}
+		})
+	}
+	// The queue holds a whole stream, so every frame is admitted, not shed.
+	p := stream.NewPool(stream.Config{Backpressure: stream.Shed, StreamQueue: 4096, Metrics: obs.Discard})
+	defer p.Close()
+	packed := make([]byte, stream.FrameBytes(numDet))
+	shed := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			st, err := p.Open(testHeader(numDet, 0), parityScorer{}, "s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				st.Offer(packed, uint64(i&1))
+			}
+			st.CloseSend()
+			<-st.Done()
+			st.Close()
+			if got := st.Stats().Admitted; got != int64(n) {
+				t.Fatalf("admitted %d of %d frames", got, n)
+			}
+		})
+	}
+	for _, path := range []struct {
+		name string
+		run  func(frames int) float64
+	}{{"Replay", replay}, {"Shed", shed}} {
+		small, large := path.run(1024), path.run(4096)
+		t.Logf("%s: %.0f allocs for 1024 frames, %.0f for 4096", path.name, small, large)
+		if large-small >= 64 {
+			t.Errorf("%s: %.0f allocs for 4096 frames against %.0f for 1024: allocations grow with frame count",
+				path.name, large, small)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
 
@@ -28,9 +29,10 @@ func (s *orderScorer) ScoreFrame(syndrome []int, actual uint64) bool {
 // TestBackloggedStreamQueueStaysBounded keeps one stream backlogged for
 // over 100k admitted frames: the single worker decodes one span at a time,
 // and the queue is refilled to its bound before each span, so it never
-// drains. The stream's queue buffer must stay within twice the bound, and
-// frames must still decode in admission order. A queue that recycled its
-// storage only when it drained completely would grow with every frame.
+// drains. The stream's queue buffer must stay within twice the bound, its
+// byte slab within twice the bound's frames of bytes, and frames must still
+// decode in admission order. A queue that recycled its storage only when it
+// drained completely would grow with every frame.
 func TestBackloggedStreamQueueStaysBounded(t *testing.T) {
 	const (
 		queue   = 256
@@ -57,13 +59,16 @@ func TestBackloggedStreamQueueStaysBounded(t *testing.T) {
 			sc.step <- struct{}{}
 		}
 		p.mu.Lock()
-		queued, size := st.queue.n, len(st.queue.buf)
+		queued, size, slab := st.queue.n, len(st.queue.buf), len(st.queue.slab)
 		p.mu.Unlock()
 		if queued == 0 {
 			t.Fatalf("queue drained after %d admitted frames: the stream is not backlogged", admitted)
 		}
 		if size > 2*queue {
 			t.Fatalf("queue buffer holds %d entries after %d admitted frames, want <= %d", size, admitted, 2*queue)
+		}
+		if bound := 2 * queue * FrameBytes(8); slab > bound {
+			t.Fatalf("queue slab holds %d bytes after %d admitted frames, want <= %d", slab, admitted, bound)
 		}
 	}
 	release()
@@ -80,28 +85,35 @@ func TestBackloggedStreamQueueStaysBounded(t *testing.T) {
 
 // TestFrameRingFIFOAcrossGrowth pushes seven frames and pops five per round,
 // so the ring wraps and then grows while wrapped; frames must leave in the
-// order they entered.
+// order they entered, each with the packed bytes it was pushed with (its
+// index, little-endian).
 func TestFrameRingFIFOAcrossGrowth(t *testing.T) {
-	var r frameRing
+	r := frameRing{fbytes: 8}
 	var in, out int64
 	var got []frame
+	var packed []byte
 	check := func() {
-		for _, f := range got {
+		for i, f := range got {
 			if f.idx != out {
 				t.Fatalf("popped frame %d, want %d", f.idx, out)
+			}
+			if b := binary.LittleEndian.Uint64(packed[8*i:]); b != uint64(out) {
+				t.Fatalf("popped frame %d with the packed bytes of frame %d", out, b)
 			}
 			out++
 		}
 	}
+	var b [8]byte
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 7; i++ {
-			r.push(frame{idx: in})
+			binary.LittleEndian.PutUint64(b[:], uint64(in))
+			r.push(frame{idx: in}, b[:])
 			in++
 		}
-		got = r.pop(got[:0], 5)
+		got, packed = r.pop(got[:0], packed[:0], 5)
 		check()
 	}
-	got = r.pop(got[:0], r.n)
+	got, packed = r.pop(got[:0], packed[:0], r.n)
 	check()
 	if out != in || r.n != 0 {
 		t.Fatalf("popped %d of %d frames, %d left", out, in, r.n)

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bufio"
 	"caliqec/internal/obs"
 	"context"
 	"encoding/json"
@@ -177,9 +178,13 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 }
 
 // handleConn reads one connection's frames into the pool and writes the
-// summary. On cancellation the connection is closed to unblock a pending
-// read; the pool still decodes what was admitted, and the summary write is
-// then a best-effort no-op on the closed socket.
+// summary. The trace is parsed through a bufio.Reader of the default size,
+// so one socket read fills a block of frames (about 130 at d=5) instead of
+// two reads per frame; under Block the connection therefore holds up to
+// one buffer of unparsed bytes beyond the stream's queue. On cancellation
+// the connection is closed to unblock a pending read; the pool still
+// decodes what was admitted, and the summary write is then a best-effort
+// no-op on the closed socket.
 func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
@@ -191,7 +196,7 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 
 	var h Header
 	var scorer FrameScorer
-	r, err := NewReader(conn)
+	r, err := NewReader(bufio.NewReader(conn))
 	if err == nil {
 		h = r.Header()
 		scorer, err = s.resolve(h)

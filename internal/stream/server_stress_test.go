@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,6 +36,76 @@ func startTestServer(t *testing.T, resolve func(stream.Header) (stream.FrameScor
 func forEachBackpressure(t *testing.T, test func(t *testing.T, bp stream.Backpressure)) {
 	for _, bp := range []stream.Backpressure{stream.Block, stream.Shed} {
 		t.Run(bp.String(), func(t *testing.T) { test(t, bp) })
+	}
+}
+
+// readCountingListener counts the Read calls made on the connections it
+// accepts.
+type readCountingListener struct {
+	net.Listener
+	reads atomic.Int64
+}
+
+func (l *readCountingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &readCountingConn{Conn: c, reads: &l.reads}, nil
+}
+
+type readCountingConn struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c *readCountingConn) Read(b []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(b)
+}
+
+// TestServerReadsSocketInBlocks: the server parses a connection through a
+// read buffer, so one socket read serves a block of frames. An unbuffered
+// parse reads twice per frame (length prefix, then payload).
+func TestServerReadsSocketInBlocks(t *testing.T) {
+	const frames = 4096
+	raw := syntheticTrace(t, 120, frames)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &readCountingListener{Listener: ln}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv := stream.NewServer(stream.Config{Backpressure: stream.Shed, StreamQueue: frames, Metrics: obs.Discard},
+		func(stream.Header) (stream.FrameScorer, error) { return parityScorer{}, nil })
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, cl) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	sum, err := stream.SendTrace(conn, bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Frames != frames || sum.Shed != 0 || sum.Failures != frames/2 {
+		t.Fatalf("summary %+v, want %d frames, none shed, %d failures", sum, frames, frames/2)
+	}
+	// The summary is written after the last read, so the count is final.
+	if got := cl.reads.Load(); got > frames/16 {
+		t.Fatalf("server made %d socket reads for %d frames, want at most %d (one per 16 frames)", got, frames, frames/16)
+	}
+	cancel()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve returned %v after cancellation", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return after cancellation")
 	}
 }
 

@@ -35,8 +35,9 @@
 #   - the stream.Replay worker pipeline must not regress below the
 #     single-threaded read+decode baseline — >=0.95x on multi-core runners
 #     (the pipeline should win there; 0.95 absorbs scheduler noise) and
-#     >=0.6x on a single core, where the per-frame channel hop is pure
-#     overhead by construction;
+#     >=0.6x on a single core, where handing each frame through the decode
+#     pool's queue (a locked Offer per frame, a claim and a goroutine
+#     switch per span) is pure overhead by construction;
 #   - the sliding-window decoder's per-round p99 ingest latency
 #     (BenchmarkStreamReplay/windowed, round_p99_ns) must stay under
 #     100µs — the bounded-latency budget of the streaming decode path.
@@ -44,9 +45,10 @@
 #     runners without letting an O(rounds) regression through.
 #   - the drift estimator (BenchmarkStreamReplay/estimator vs /pipeline)
 #     may cost replay throughput at most 5% on multi-core runners (15% on
-#     a single core, where pipeline ns/op is channel-hop-dominated and
-#     noisy). Measured overhead sits around 2-3%: the estimator's
-#     per-frame work is one mutex hop plus integer bucket updates.
+#     a single core, where the reader and the decode workers take turns on
+#     one CPU and pipeline ns/op is noisy). Measured overhead sits around
+#     2-3%: the estimator's per-frame work is one mutex hop plus integer
+#     bucket updates.
 #   - the multi-tenant fleet's per-frame decode p99 (BenchmarkFleetServe,
 #     fleet_p99_ns: 256 concurrent streams through one shared pool) must
 #     stay under 200µs. Measured values sit around 7µs; the headroom
