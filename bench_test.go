@@ -91,21 +91,28 @@ func memoryCircuit(b *testing.B, d int) *code.Patch {
 	return code.NewPatch(lattice.NewSquare(d))
 }
 
-// BenchmarkFrameSampler measures Monte-Carlo throughput: shots per second
-// of a d=5 memory circuit.
+// BenchmarkFrameSampler measures Monte-Carlo throughput, in shots per
+// second, of the frame sampler alone on the ler-sweep points: square
+// memory circuits with d ∈ {5, 7} and p ∈ {2e-3, 5e-3}, rounds = d.
 func BenchmarkFrameSampler(b *testing.B) {
-	p := memoryCircuit(b, 5)
-	c, err := p.MemoryCircuit(code.MemoryOptions{Rounds: 5, Basis: lattice.BasisZ, Noise: code.UniformNoise(1e-3)})
-	if err != nil {
-		b.Fatal(err)
+	for _, d := range []int{5, 7} {
+		for _, p := range []float64{2e-3, 5e-3} {
+			b.Run(fmt.Sprintf("d%d-p%g", d, p), func(b *testing.B) {
+				c, err := memoryCircuit(b, d).MemoryCircuit(code.MemoryOptions{Rounds: d, Basis: lattice.BasisZ, Noise: code.UniformNoise(p)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				fs := sim.NewFrameSimulator(c, rng.New(1))
+				const shotsPerOp = 6400
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					fs.Sample(shotsPerOp, func(sim.BatchResult) {})
+				}
+				b.ReportMetric(float64(shotsPerOp)*float64(b.N)/b.Elapsed().Seconds(), "shots/s")
+			})
+		}
 	}
-	fs := sim.NewFrameSimulator(c, rng.New(1))
-	const shotsPerOp = 6400
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fs.Sample(shotsPerOp, func(sim.BatchResult) {})
-	}
-	b.ReportMetric(float64(shotsPerOp)*float64(b.N)/b.Elapsed().Seconds(), "shots/s")
 }
 
 // BenchmarkDEMExtraction measures circuit→DEM lowering: a d=5 memory

@@ -76,3 +76,18 @@ func TestEmptySyndrome(t *testing.T) {
 		t.Fatal("empty syndrome must decode to no correction")
 	}
 }
+
+// TestNewUnionFindAllocsFlat: decoder set-up builds the half-edge
+// adjacency and its per-node and per-edge tables as flat arrays, one
+// allocation each, so it allocates as often on a d=13 graph as on a d=5
+// one. The calibration loop builds fresh decoders for every verdict.
+func TestNewUnionFindAllocsFlat(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, d := range []int{5, 13} {
+		_, g, _, _, _ := memCircuit(t, lattice.Square, d, d, 1e-3)
+		allocs[d] = testing.AllocsPerRun(20, func() { NewUnionFind(g) })
+	}
+	if allocs[5] != allocs[13] {
+		t.Errorf("NewUnionFind allocated %v times on the d=5 graph and %v on the d=13 graph, want equal", allocs[5], allocs[13])
+	}
+}

@@ -17,9 +17,10 @@
 // (run word-major, so the RNG stream is bit-identical to the old 64-wide
 // simulator's batch-sequential order), and an apply program whose steps
 // each advance a whole lane. Ticks and zero-probability noise compile to
-// nothing, per-instruction constants (measurement offsets, log(1-p)) are
-// resolved at compile time, and per-instruction dispatch overhead
-// amortizes over 4× more shots than the single-word version.
+// nothing, per-instruction constants (measurement offsets, log(1-p), the
+// first-gap cut) are resolved at compile time, and per-instruction
+// dispatch overhead amortizes over 4× more shots than the single-word
+// version.
 package sim
 
 import (
@@ -135,27 +136,80 @@ func (b BatchResult) Words() int { return (b.Shots + 63) / 64 }
 // geometric skipping (O(p·64) draws per word instead of 64).
 const geomThreshold = 0.1
 
-// noiseLogq precomputes log(1-p) for the geometric-skipping fast path, or 0
-// when p is outside the fast-path range. Hoisting it to compile time removes
-// a math.Log1p from every noisy instruction of every batch.
-func noiseLogq(p float64) float64 {
+// cutGuard widens the first-gap cut (see channel). Below p = geomThreshold
+// it keeps the true first gap of every uniform at or above the cut at
+// least 64 + 9e-9, while the float64 quotient that computes the gap is off
+// by less than 1e-13.
+const cutGuard = 1e-9
+
+// channel is one noise probability with the constants its draws need,
+// resolved at compile time. Hoisting them there removes a math.Log1p from
+// every noisy instruction of every batch.
+type channel struct {
+	p float64
+	// geom is set for p in (0, geomThreshold): draws use geometric
+	// skipping, with logq = log(1-p) and the first-gap cut.
+	geom bool
+	logq float64
+	// cut is 1-(1-p)^64 plus cutGuard: a first uniform u at or above it
+	// puts the first success at gap floor(log(1-u)/log(1-p)) ≥ 64, past
+	// the word, so the word is empty without computing the gap.
+	cut float64
+}
+
+// newChannel returns the channel for probability p.
+func newChannel(p float64) channel {
 	if p > 0 && p < geomThreshold {
-		return math.Log1p(-p)
+		logq := math.Log1p(-p)
+		return channel{p: p, geom: true, logq: logq, cut: -math.Expm1(64*logq) + cutGuard}
 	}
-	return 0
+	return channel{p: p}
 }
 
-// bernoulliMask returns a 64-bit word whose bits are independently 1 with
-// probability p. For small p it uses geometric skipping (draw the gap to the
-// next success) which costs O(p·64) random draws instead of 64.
-func bernoulliMask(r *rng.RNG, p float64) uint64 {
-	return bernoulliMaskLogq(r, p, noiseLogq(p))
+// mask returns a 64-bit word whose bits are independently 1 with
+// probability p. For small p it uses geometric skipping (draw the gap to
+// the next success), which costs O(p·64) random draws instead of 64; at
+// p = 1e-3 about 94% of words are empty and cost one draw and no log.
+func (ch *channel) mask(r *rng.RNG) uint64 {
+	if !ch.geom {
+		return denseMask(r, ch.p)
+	}
+	return ch.from(r, r.Float64())
 }
 
-// bernoulliMaskLogq is bernoulliMask with log(1-p) precomputed (as returned
-// by noiseLogq). The randomness consumed is identical to bernoulliMask for
-// the same p.
-func bernoulliMaskLogq(r *rng.RNG, p, logq float64) uint64 {
+// from is the geometric-skipping path of mask, given the word's first
+// uniform draw u. It consumes the same draws and returns the same mask as
+// computing every gap, the first one included, from log(1-u)/log(1-p):
+// every first u at or above ch.cut has its first gap at or past the end of
+// the word, so that word is empty either way.
+func (ch *channel) from(r *rng.RNG, u float64) uint64 {
+	if u >= ch.cut {
+		return 0
+	}
+	return ch.gaps(r, u)
+}
+
+// gaps places the successes of one word by geometric skipping, starting
+// from the first uniform draw u.
+func (ch *channel) gaps(r *rng.RNG, u float64) uint64 {
+	var mask uint64
+	i := 0
+	for {
+		// Gap ~ floor(log(1-u)/log(1-p)); u in [0,1) keeps log finite.
+		gap := int(math.Log1p(-u) / ch.logq)
+		i += gap
+		if i >= 64 {
+			return mask
+		}
+		mask |= 1 << uint(i)
+		i++
+		u = r.Float64()
+	}
+}
+
+// denseMask draws one uniform per bit: the path for p at or above
+// geomThreshold. p ≤ 0 and p ≥ 1 draw nothing.
+func denseMask(r *rng.RNG, p float64) uint64 {
 	if p <= 0 {
 		return 0
 	}
@@ -163,21 +217,6 @@ func bernoulliMaskLogq(r *rng.RNG, p, logq float64) uint64 {
 		return ^uint64(0)
 	}
 	var mask uint64
-	if p < geomThreshold {
-		// Geometric skipping: positions of successes in a Bernoulli stream.
-		i := 0
-		for {
-			u := r.Float64()
-			// Gap ~ floor(log(1-u)/log(1-p)); u in [0,1) keeps log finite.
-			gap := int(math.Log1p(-u) / logq)
-			i += gap
-			if i >= 64 {
-				return mask
-			}
-			mask |= 1 << uint(i)
-			i++
-		}
-	}
 	for i := 0; i < 64; i++ {
 		if r.Float64() < p {
 			mask |= 1 << uint(i)
@@ -189,8 +228,8 @@ func bernoulliMaskLogq(r *rng.RNG, p, logq float64) uint64 {
 // compile lowers c's instruction list into a draw program and an apply
 // program. Each apply step captures its targets and — for measurements —
 // the absolute measurement-record base index; each draw step captures its
-// probability argument, precomputed log(1-p), and the noise-buffer slot
-// range it fills. slots is the total noise-buffer size in Lanes.
+// channel (probability, log(1-p) and first-gap cut) and the noise-buffer
+// slot range it fills. slots is the total noise-buffer size in Lanes.
 //
 // RNG-stream compatibility: for one 64-shot word the draw program consumes
 // randomness in exactly the order and quantity the single-word simulator's
@@ -205,7 +244,7 @@ func compile(c *circuit.Circuit) (draws []drawStep, prog []step, slots int) {
 	for _, in := range c.Instructions {
 		targets := in.Targets
 		arg := in.Arg
-		logq := noiseLogq(arg)
+		ch := newChannel(arg)
 		index := in.Index
 		recsIdx := in.Recs
 		switch in.Op {
@@ -271,7 +310,7 @@ func compile(c *circuit.Circuit) (draws []drawStep, prog []step, slots int) {
 			}
 			base := slots
 			slots += len(targets)
-			draws = append(draws, maskDraw(base, len(targets), arg, logq))
+			draws = append(draws, maskDraw(base, len(targets), ch))
 			prog = append(prog, func(fs *FrameSimulator) {
 				for j, q := range targets {
 					fs.xf[q] = fs.noise[base+j]
@@ -290,7 +329,7 @@ func compile(c *circuit.Circuit) (draws []drawStep, prog []step, slots int) {
 			}
 			base := slots
 			slots += len(targets)
-			draws = append(draws, maskDraw(base, len(targets), arg, logq))
+			draws = append(draws, maskDraw(base, len(targets), ch))
 			prog = append(prog, func(fs *FrameSimulator) {
 				for j, q := range targets {
 					fs.zf[q] = fs.noise[base+j]
@@ -314,7 +353,7 @@ func compile(c *circuit.Circuit) (draws []drawStep, prog []step, slots int) {
 			}
 			nbase := slots
 			slots += len(targets)
-			draws = append(draws, maskDraw(nbase, len(targets), arg, logq))
+			draws = append(draws, maskDraw(nbase, len(targets), ch))
 			prog = append(prog, func(fs *FrameSimulator) {
 				for j, q := range targets {
 					r, x, m := &fs.recs[base+j], &fs.xf[q], &fs.noise[nbase+j]
@@ -338,7 +377,7 @@ func compile(c *circuit.Circuit) (draws []drawStep, prog []step, slots int) {
 			}
 			nbase := slots
 			slots += len(targets)
-			draws = append(draws, maskDraw(nbase, len(targets), arg, logq))
+			draws = append(draws, maskDraw(nbase, len(targets), ch))
 			prog = append(prog, func(fs *FrameSimulator) {
 				for j, q := range targets {
 					r, z, m := &fs.recs[base+j], &fs.zf[q], &fs.noise[nbase+j]
@@ -354,7 +393,7 @@ func compile(c *circuit.Circuit) (draws []drawStep, prog []step, slots int) {
 			}
 			base := slots
 			slots += len(targets)
-			draws = append(draws, maskDraw(base, len(targets), arg, logq))
+			draws = append(draws, maskDraw(base, len(targets), ch))
 			prog = append(prog, func(fs *FrameSimulator) {
 				for j, q := range targets {
 					x, m := &fs.xf[q], &fs.noise[base+j]
@@ -369,7 +408,7 @@ func compile(c *circuit.Circuit) (draws []drawStep, prog []step, slots int) {
 			}
 			base := slots
 			slots += len(targets)
-			draws = append(draws, maskDraw(base, len(targets), arg, logq))
+			draws = append(draws, maskDraw(base, len(targets), ch))
 			prog = append(prog, func(fs *FrameSimulator) {
 				for j, q := range targets {
 					z, m := &fs.zf[q], &fs.noise[base+j]
@@ -384,7 +423,7 @@ func compile(c *circuit.Circuit) (draws []drawStep, prog []step, slots int) {
 			}
 			base := slots
 			slots += len(targets)
-			draws = append(draws, maskDraw(base, len(targets), arg, logq))
+			draws = append(draws, maskDraw(base, len(targets), ch))
 			prog = append(prog, func(fs *FrameSimulator) {
 				for j, q := range targets {
 					x, z, m := &fs.xf[q], &fs.zf[q], &fs.noise[base+j]
@@ -402,7 +441,7 @@ func compile(c *circuit.Circuit) (draws []drawStep, prog []step, slots int) {
 			slots += 2 * len(targets) // X mask + Z mask per target
 			draws = append(draws, func(fs *FrameSimulator, w int) {
 				for j := range targets {
-					m := bernoulliMaskLogq(fs.rng, arg, logq)
+					m := ch.mask(fs.rng)
 					// For each erring shot choose X, Y or Z uniformly.
 					var xm, zm uint64
 					for v := m; v != 0; v &= v - 1 {
@@ -439,7 +478,7 @@ func compile(c *circuit.Circuit) (draws []drawStep, prog []step, slots int) {
 			slots += 2 * len(targets) // X+Z masks for both qubits per pair
 			draws = append(draws, func(fs *FrameSimulator, w int) {
 				for i := 0; i < len(targets); i += 2 {
-					m := bernoulliMaskLogq(fs.rng, arg, logq)
+					m := ch.mask(fs.rng)
 					var xa, za, xb, zb uint64
 					for v := m; v != 0; v &= v - 1 {
 						bit := v & -v
@@ -517,10 +556,10 @@ func compile(c *circuit.Circuit) (draws []drawStep, prog []step, slots int) {
 // maskDraw returns a draw step filling n consecutive noise slots starting at
 // base with plain bernoulli masks — the shared shape of every noise channel
 // that needs no per-bit Pauli choice.
-func maskDraw(base, n int, arg, logq float64) drawStep {
+func maskDraw(base, n int, ch channel) drawStep {
 	return func(fs *FrameSimulator, w int) {
 		for j := 0; j < n; j++ {
-			fs.noise[base+j][w] = bernoulliMaskLogq(fs.rng, arg, logq)
+			fs.noise[base+j][w] = ch.mask(fs.rng)
 		}
 	}
 }

@@ -56,10 +56,21 @@
 #     parks frames behind lock convoys or unfair queues.
 #
 # CI runs this on every push; the committed BENCH_mc.json/BENCH_stream.json
-# are the trajectory points for the checked-out commit.
+# are the trajectory points for the checked-out commit. Each awk that checks
+# a suite's gates writes its JSON to a temporary file beside the BENCH file,
+# which is moved into place only when the awk exits 0: a run whose gate
+# fails prints what it measured and leaves the committed file as it was.
 #
 # Usage: scripts/bench_mc.sh [benchtime]   (default 20x)
 set -eu
+trap 'rm -f BENCH_mc.json.tmp BENCH_stream.json.tmp BENCH_lint.json.tmp' EXIT
+
+# discard TMP: a gate failed; show the run's numbers and stop. The EXIT
+# trap removes TMP.
+discard() {
+    cat "$1"
+    exit 1
+}
 benchtime="${1:-20x}"
 cores="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
 out="$(go test -run '^$' -bench 'BenchmarkEngineCachedSweep|BenchmarkObsOverhead|BenchmarkEngineBatchSweep' -benchtime "$benchtime" -benchmem -count 1 .)"
@@ -155,7 +166,8 @@ END {
     }
     printf "\n}\n"
     if (fail) exit 1
-}' > BENCH_mc.json
+}' > BENCH_mc.json.tmp || discard BENCH_mc.json.tmp
+mv BENCH_mc.json.tmp BENCH_mc.json
 cat BENCH_mc.json
 
 out="$(go test -run '^$' -bench 'BenchmarkStreamReplay|BenchmarkFleetServe' -benchtime "$benchtime" -benchmem -count 1 .)"
@@ -251,7 +263,8 @@ END {
     }
     printf "\n}\n"
     if (fail) exit 1
-}' > BENCH_stream.json
+}' > BENCH_stream.json.tmp || discard BENCH_stream.json.tmp
+mv BENCH_stream.json.tmp BENCH_stream.json
 cat BENCH_stream.json
 
 # Lint-gate trajectory: one BenchmarkLintRepo op is a full caliqec-lint pass
@@ -283,5 +296,6 @@ END {
         printf "FAIL: lint pass %s ns/op exceeds the %d ns budget\n", ns, budget > "/dev/stderr"
         exit 1
     }
-}' > BENCH_lint.json
+}' > BENCH_lint.json.tmp || discard BENCH_lint.json.tmp
+mv BENCH_lint.json.tmp BENCH_lint.json
 cat BENCH_lint.json
