@@ -14,7 +14,6 @@ import (
 	"caliqec/internal/deform"
 	"caliqec/internal/dem"
 	"caliqec/internal/exp"
-	"caliqec/internal/fleet"
 	"caliqec/internal/lattice"
 	"caliqec/internal/mc"
 	"caliqec/internal/obs"
@@ -595,7 +594,7 @@ func BenchmarkFleetServe(b *testing.B) {
 	}
 
 	reg := obs.NewRegistry(nil)
-	srv := fleet.NewServer(fleet.Config{StreamQueue: frames, Metrics: reg},
+	srv := stream.NewServer(stream.Config{Backpressure: stream.Shed, StreamQueue: frames, Metrics: reg},
 		func(stream.Header) (stream.FrameScorer, error) { return fd, nil })
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

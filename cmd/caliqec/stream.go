@@ -38,6 +38,15 @@ func buildMemoryCircuit(tp caliqec.Topology, d, rounds int, p float64) (*circuit
 	return c, rounds, err
 }
 
+// frameDecoder returns the decoder replay and serve score c's frames with:
+// whole-shot union-find, or a sliding round window when window > 0.
+func frameDecoder(eng *mc.Engine, c *circuit.Circuit, window int) (*mc.FrameDecoder, error) {
+	if window > 0 {
+		return eng.WindowedFrameDecoder(c, window)
+	}
+	return eng.FrameDecoder(c, decoder.KindUnionFind)
+}
+
 func cmdRecord(args []string) (err error) {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	topo := topoFlag(fs)
@@ -82,7 +91,7 @@ func cmdRecord(args []string) (err error) {
 		return rerr
 	}
 	fmt.Printf("recorded %d shots of %v d=%d p=%.3g rounds=%d (fingerprint %x) to %s\n",
-		n, tp, *d, *p, r, mc.Fingerprint(c), *out)
+		n, tp, *d, *p, r, c.Fingerprint(), *out)
 	return nil
 }
 
@@ -156,30 +165,22 @@ func cmdReplay(args []string) (err error) {
 		return err
 	}
 	h := tr.Header()
-	if h.Fingerprint != mc.Fingerprint(c) {
+	if h.Fingerprint != c.Fingerprint() {
 		return fmt.Errorf("trace fingerprint %x does not match %v d=%d p=%.3g rounds=%d (%x); pass the flags the trace was recorded with",
-			h.Fingerprint, tp, *d, *p, r, mc.Fingerprint(c))
+			h.Fingerprint, tp, *d, *p, r, c.Fingerprint())
 	}
 	eng := mc.New(mc.Options{})
-	var scorer stream.FrameScorer
-	if *window > 0 {
-		wd, err := eng.WindowedFrameDecoder(c, *window)
-		if err != nil {
-			return err
-		}
-		if h.Rounds > 0 && h.Rounds != wd.NumRounds() {
-			return fmt.Errorf("trace records %d rounds/shot but the circuit has %d", h.Rounds, wd.NumRounds())
-		}
-		fmt.Printf("windowed decoding: W=%d of %d rounds\n", *window, wd.NumRounds())
-		scorer = wd
-	} else {
-		fd, err := eng.FrameDecoder(c, decoder.KindUnionFind)
-		if err != nil {
-			return err
-		}
-		scorer = fd
+	fd, err := frameDecoder(eng, c, *window)
+	if err != nil {
+		return err
 	}
-	stats, rerr := stream.Replay(ctx, tr, scorer, stream.PipelineOptions{Workers: *workers, QueueDepth: *queue, Estimator: est})
+	if h.Rounds > 0 && h.Rounds != fd.NumRounds() {
+		return fmt.Errorf("trace records %d rounds/shot but the circuit has %d", h.Rounds, fd.NumRounds())
+	}
+	if fd.Window() > 0 {
+		fmt.Printf("windowed decoding: W=%d of %d rounds\n", fd.Window(), fd.NumRounds())
+	}
+	stats, rerr := stream.Replay(ctx, tr, fd, stream.PipelineOptions{Workers: *workers, QueueDepth: *queue, Estimator: est})
 	if rerr != nil && !errors.Is(rerr, stream.ErrTruncated) {
 		return rerr
 	}
@@ -206,8 +207,8 @@ func cmdReplay(args []string) (err error) {
 		if stats.Truncated {
 			return fmt.Errorf("-check: cannot verify a truncated trace")
 		}
-		if *window > 0 && *window < c.NumRounds {
-			return fmt.Errorf("-check: a sliding window (W=%d < %d rounds) is not bit-identical to the whole-shot evaluation; use -window 0 or >= %d", *window, c.NumRounds, c.NumRounds)
+		if fd.Window() > 0 && fd.Window() < fd.NumRounds() {
+			return fmt.Errorf("-check: a sliding window (W=%d < %d rounds) is not bit-identical to the whole-shot evaluation; use -window 0 or >= %d", fd.Window(), fd.NumRounds(), fd.NumRounds())
 		}
 		if h.Shots == 0 {
 			return fmt.Errorf("-check: trace header carries no shot count")
@@ -235,7 +236,7 @@ func cmdServe(args []string) (err error) {
 	p := fs.Float64("p", 1e-3, "physical error rate of the served decoding graphs")
 	rounds := fs.Int("rounds", 0, "QEC rounds (default: the distance)")
 	addr := fs.String("addr", "127.0.0.1:8790", "TCP listen address")
-	window := fs.Int("window", 0, "serve sliding-window decoders with this round window (0 = whole-shot); traces recording a different rounds/shot are rejected")
+	window := fs.Int("window", 0, "serve sliding-window decoders with this round window (0 = whole-shot); resident decode state is O(window)")
 	sf := addServeFlags(fs)
 	oc := addObsFlags(fs)
 	dc := addDriftFlags(fs)
@@ -273,27 +274,16 @@ func cmdServe(args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		var (
-			scorer stream.FrameScorer
-			fp     [16]byte
-			mode   string
-		)
-		if *window > 0 {
-			wd, err := eng.WindowedFrameDecoder(c, *window)
-			if err != nil {
-				return err
-			}
-			scorer, fp = wd, wd.CircuitFingerprint()
-			mode = fmt.Sprintf(" window=%d/%d", *window, wd.NumRounds())
-		} else {
-			fd, err := eng.FrameDecoder(c, decoder.KindUnionFind)
-			if err != nil {
-				return err
-			}
-			scorer, fp = fd, fd.CircuitFingerprint()
+		fd, err := frameDecoder(eng, c, *window)
+		if err != nil {
+			return err
 		}
-		cat.Register(fp, scorer)
-		fmt.Printf("serving %v d=%d p=%.3g rounds=%d%s: fingerprint %x\n", tp, d, *p, r, mode, fp)
+		mode := ""
+		if fd.Window() > 0 {
+			mode = fmt.Sprintf(" window=%d/%d", fd.Window(), fd.NumRounds())
+		}
+		cat.Register(fd.CircuitFingerprint(), fd)
+		fmt.Printf("serving %v d=%d p=%.3g rounds=%d%s: fingerprint %x\n", tp, d, *p, r, mode, fd.CircuitFingerprint())
 	}
 	cfg, err := sf.config(est)
 	if err != nil {

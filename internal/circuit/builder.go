@@ -199,8 +199,9 @@ func (b *Builder) Repeat(n int, body func(round int)) {
 	}
 }
 
-// Finish finalizes the circuit and returns it along with any validation
-// error. The builder must not be used afterwards. This is the entry point
+// Finish finalizes the circuit — its round count, then, once it validates,
+// its fingerprint — and returns it along with any validation error. The
+// builder must not be used afterwards. This is the entry point
 // for tooling (`caliqec vet`) that wants to report a malformed circuit —
 // including detector/observable record references accumulated as deferred
 // errors — rather than crash.
@@ -216,6 +217,7 @@ func (b *Builder) Finish() (*Circuit, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	c.fp = c.Fingerprint()
 	return &c, nil
 }
 

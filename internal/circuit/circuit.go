@@ -11,7 +11,9 @@
 package circuit
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"strings"
 )
@@ -125,7 +127,8 @@ func (in Instruction) String() string {
 	return sb.String()
 }
 
-// Circuit is a flat, fully unrolled stabilizer circuit.
+// Circuit is a flat, fully unrolled stabilizer circuit. A circuit the
+// Builder returns is immutable: its fingerprint is computed once, in Finish.
 type Circuit struct {
 	Instructions []Instruction
 	NumQubits    int
@@ -136,6 +139,47 @@ type Circuit struct {
 	// carries no round structure (hand-assembled literals predating round
 	// tracking). The Builder computes it in Finish.
 	NumRounds int
+
+	fp [16]byte // Fingerprint, set by Builder.Finish; zero for literals
+}
+
+// Fingerprint returns a 128-bit content hash of c: its dimensions and every
+// instruction's opcode, the float bits of its probability argument, its
+// annotation index, targets and record references (FNV-1a 128). It covers
+// structure AND noise parameters, so two circuits that differ only in a
+// channel probability hash differently. A circuit from the Builder returns
+// the hash Finish computed; a hand-assembled literal hashes on each call.
+func (c *Circuit) Fingerprint() [16]byte {
+	if c.fp != ([16]byte{}) {
+		return c.fp
+	}
+	h := fnv.New128a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	put(uint64(c.NumQubits))
+	put(uint64(c.NumMeas))
+	put(uint64(c.NumDetectors))
+	put(uint64(c.NumObs))
+	put(uint64(len(c.Instructions)))
+	for _, in := range c.Instructions {
+		put(uint64(in.Op))
+		put(math.Float64bits(in.Arg))
+		put(uint64(in.Index))
+		put(uint64(len(in.Targets)))
+		for _, t := range in.Targets {
+			put(uint64(t))
+		}
+		put(uint64(len(in.Recs)))
+		for _, r := range in.Recs {
+			put(uint64(r))
+		}
+	}
+	var fp [16]byte
+	h.Sum(fp[:0])
+	return fp
 }
 
 // DetectorRounds returns the round index of every detector, in detector

@@ -7,7 +7,8 @@ import "fmt"
 // holds Window() rounds, the decoder decodes the window, commits the
 // correction edges touching the oldest round, and slides the window forward
 // by one round. Flush decodes whatever remains and returns the accumulated
-// observable mask.
+// observable mask. Decode runs one whole shot through that sequence, so a
+// Windowed is a Decoder like UnionFind and Greedy.
 //
 // Commit semantics: after decoding window [lo, hi), the commit boundary is
 // lo+1. A correction edge with MinRound == lo (its span starts in the
@@ -74,24 +75,51 @@ func (d *Windowed) Reset() {
 }
 
 // IngestRound feeds the fired detectors of the next round (round index
-// Rounds()). Every index must belong to that round. If the window is full
-// the oldest round is decoded and committed first, so each call does at
-// most one window decode — the per-round latency the stream path budgets.
+// Rounds()). Every index must belong to that round; on an error the
+// decoder's state is unchanged. If the window is full the oldest round is
+// decoded and committed first, so each call does at most one window decode.
 func (d *Windowed) IngestRound(fired []int) error {
 	if d.hi >= d.g.NumRounds {
 		return fmt.Errorf("decoder: round %d beyond circuit rounds %d", d.hi, d.g.NumRounds)
-	}
-	if d.hi-d.lo == d.w {
-		d.decodeAndSlide()
 	}
 	for _, f := range fired {
 		if f < 0 || f >= d.g.NumDetectors || d.g.NodeRound[f] != d.hi {
 			return fmt.Errorf("decoder: detector %d not in round %d", f, d.hi)
 		}
+	}
+	d.ingest(fired)
+	return nil
+}
+
+// ingest is IngestRound without the round checks.
+func (d *Windowed) ingest(fired []int) {
+	if d.hi-d.lo == d.w {
+		d.decodeAndSlide()
+	}
+	for _, f := range fired {
 		d.pending[f] = !d.pending[f]
 	}
 	d.hi++
-	return nil
+}
+
+// Decode implements Decoder: it decodes one whole shot through the sliding
+// window. The sorted syndrome is split into rounds in one linear walk
+// (detector order agrees with round order by the dem round-map contract),
+// each round is ingested in turn, and the shot is flushed. The walk stops
+// at the first detector out of round order, so the syndrome must be sorted
+// as for every Decoder.
+func (d *Windowed) Decode(syndrome []int) uint64 {
+	d.Reset()
+	i := 0
+	for r := 0; r < d.g.NumRounds; r++ {
+		j := i
+		for j < len(syndrome) && d.g.NodeRound[syndrome[j]] == r {
+			j++
+		}
+		d.ingest(syndrome[i:j])
+		i = j
+	}
+	return d.Flush()
 }
 
 // Flush decodes the remaining window, commits everything, and returns the

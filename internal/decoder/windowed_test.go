@@ -17,6 +17,8 @@ func splitRounds(g *Graph, syndrome []int) [][]int {
 	return rounds
 }
 
+var _ Decoder = (*Windowed)(nil)
+
 // windowedDecode runs one whole shot through a Windowed decoder.
 func windowedDecode(t *testing.T, w *Windowed, g *Graph, syndrome []int) uint64 {
 	t.Helper()
@@ -120,7 +122,8 @@ func TestWindowedSingleMechanisms(t *testing.T) {
 }
 
 // TestWindowedDeterministicReuse: the same decoder instance must produce the
-// same answers across interleaved shots (scratch state fully reset).
+// same answers across interleaved shots (scratch state fully reset), and
+// Decode at a sliding window must agree with ingesting the rounds by hand.
 func TestWindowedDeterministicReuse(t *testing.T) {
 	_, g, _, _, _ := memCircuit(t, lattice.Square, 3, 6, 2e-3)
 	w, err := NewWindowed(g, 3)
@@ -143,6 +146,9 @@ func TestWindowedDeterministicReuse(t *testing.T) {
 	for i := len(syndromes) - 1; i >= 0; i-- {
 		if got := windowedDecode(t, w, g, syndromes[i]); got != first[i] {
 			t.Fatalf("shot %d: %b on reuse, %b first", i, got, first[i])
+		}
+		if got := w.Decode(syndromes[i]); got != first[i] {
+			t.Fatalf("shot %d: Decode %b, ingested rounds %b", i, got, first[i])
 		}
 	}
 }

@@ -107,7 +107,7 @@ func AblatePriors(ctx context.Context, seed uint64) (*Report, error) {
 	)
 	patch := code.NewPatch(lattice.NewSquare(3))
 	dq := patch.Lat.DataID[[2]int{1, 1}]
-	noisy, err := patch.MemoryCircuit(code.MemoryOptions{Rounds: 3, Basis: lattice.BasisZ, Noise: &driftedOne{base: p, q: dq, factor: drift}})
+	noisy, err := patch.MemoryCircuit(code.MemoryOptions{Rounds: 3, Basis: lattice.BasisZ, Noise: code.HotQubit{Base: code.UniformNoise(p), Qubit: dq, P: p * drift}})
 	if err != nil {
 		return nil, err
 	}
@@ -140,37 +140,6 @@ func AblatePriors(ctx context.Context, seed uint64) (*Report, error) {
 	rep.AddNote("stale priors (the operational reality between calibrations) decode the drifted gate worse; CaliQEC re-derives the decoder on every deformation")
 	return rep, nil
 }
-
-// driftedOne elevates every channel touching one qubit by a factor.
-type driftedOne struct {
-	base   float64
-	q      int
-	factor float64
-}
-
-func (d *driftedOne) rate(q int) float64 {
-	if q == d.q {
-		return d.base * d.factor
-	}
-	return d.base
-}
-
-// Gate1 implements code.NoiseModel.
-func (d *driftedOne) Gate1(q int) float64 { return d.rate(q) }
-
-// Gate2 implements code.NoiseModel.
-func (d *driftedOne) Gate2(a, b int) float64 {
-	if a == d.q || b == d.q {
-		return d.base * d.factor
-	}
-	return d.base
-}
-
-// Meas implements code.NoiseModel.
-func (d *driftedOne) Meas(q int) float64 { return d.rate(q) }
-
-// Reset implements code.NoiseModel.
-func (d *driftedOne) Reset(q int) float64 { return d.rate(q) }
 
 // AblateSchedule compares the default sequential X-then-Z extraction
 // schedule (required for gauge-fixed deformed codes) against the standard

@@ -6,87 +6,10 @@ import (
 	"caliqec/internal/dem"
 	"caliqec/internal/rng"
 	"caliqec/internal/sim"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"runtime"
 	"sync"
 )
-
-// fingerprint is a 128-bit content hash of a circuit: structure AND noise
-// parameters. Two circuits with identical instruction sequences but
-// different channel probabilities hash differently, so they never share a
-// cached decoding graph.
-type fingerprint [16]byte
-
-// Fingerprint hashes c's full content — dimensions, every instruction's
-// opcode, targets, record references, annotation index, and the float bits
-// of its probability argument (FNV-1a 128).
-func Fingerprint(c *circuit.Circuit) [16]byte {
-	h := fnv.New128a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put(uint64(c.NumQubits))
-	put(uint64(c.NumMeas))
-	put(uint64(c.NumDetectors))
-	put(uint64(c.NumObs))
-	put(uint64(len(c.Instructions)))
-	for _, in := range c.Instructions {
-		put(uint64(in.Op))
-		put(math.Float64bits(in.Arg))
-		put(uint64(in.Index))
-		put(uint64(len(in.Targets)))
-		for _, t := range in.Targets {
-			put(uint64(t))
-		}
-		put(uint64(len(in.Recs)))
-		for _, r := range in.Recs {
-			put(uint64(r))
-		}
-	}
-	var fp fingerprint
-	h.Sum(fp[:0])
-	return fp
-}
-
-// fpMemo caches fingerprints by circuit pointer identity. Circuits are
-// immutable once built (the builder is the only writer, and the simulator
-// pool already relies on pointer identity meaning "same compiled program"),
-// so a pointer seen before hashes to the same fingerprint — which turns the
-// per-Evaluate rehash of a warm sweep's unchanged prior (a measurable
-// fraction of warm evaluation time) into one map lookup. Bounded: at
-// fpMemoMax entries the map is dropped wholesale, which also releases the
-// circuit pointers it keeps alive.
-var fpMemo struct {
-	sync.Mutex
-	m map[*circuit.Circuit]fingerprint
-}
-
-const fpMemoMax = 1024
-
-// fingerprintOf is Fingerprint memoized by pointer identity.
-func fingerprintOf(c *circuit.Circuit) fingerprint {
-	fpMemo.Lock()
-	if fp, ok := fpMemo.m[c]; ok {
-		fpMemo.Unlock()
-		return fp
-	}
-	fpMemo.Unlock()
-	// Hash outside the lock; concurrent misses on one circuit hash twice
-	// but agree on the result.
-	fp := Fingerprint(c)
-	fpMemo.Lock()
-	if fpMemo.m == nil || len(fpMemo.m) >= fpMemoMax {
-		fpMemo.m = make(map[*circuit.Circuit]fingerprint, 64)
-	}
-	fpMemo.m[c] = fp
-	fpMemo.Unlock()
-	return fp
-}
 
 // cacheEntry holds everything derivable from one prior circuit: its DEM,
 // the decoding graph, a pool of reusable decoder instances per kind
@@ -120,19 +43,12 @@ func newCacheEntry(prior *circuit.Circuit) (*cacheEntry, error) {
 	return ent, nil
 }
 
-func (ent *cacheEntry) getDecoder(kind decoder.DecoderKind) decoder.Decoder {
-	return ent.pools[poolIndex(kind)].Get().(decoder.Decoder)
-}
-
-func (ent *cacheEntry) putDecoder(kind decoder.DecoderKind, dec decoder.Decoder) {
-	ent.pools[poolIndex(kind)].Put(dec)
-}
-
-func poolIndex(kind decoder.DecoderKind) int {
+// pool returns the entry's pool of decoder.Decoder instances of kind.
+func (ent *cacheEntry) pool(kind decoder.DecoderKind) *sync.Pool {
 	if kind == decoder.KindGreedy {
-		return 1
+		return &ent.pools[1]
 	}
-	return 0
+	return &ent.pools[0]
 }
 
 // getSim returns a pooled frame simulator compiled for exactly c, rebound
@@ -168,15 +84,11 @@ func (ent *cacheEntry) putSim(fs *sim.FrameSimulator) {
 	ent.simMu.Unlock()
 }
 
-// entryFor returns the cached DEM+graph for prior, building and inserting
-// it on a miss (LRU eviction beyond the configured size).
+// entryFor returns the cached DEM+graph for prior, keyed by its
+// fingerprint, building and inserting it on a miss (LRU eviction beyond the
+// configured size).
 func (e *Engine) entryFor(prior *circuit.Circuit) (*cacheEntry, error) {
-	return e.entryForFP(fingerprintOf(prior), prior)
-}
-
-// entryForFP is entryFor with the fingerprint already computed, so callers
-// that needed it anyway (batch dedup) do not hash twice.
-func (e *Engine) entryForFP(fp fingerprint, prior *circuit.Circuit) (*cacheEntry, error) {
+	fp := prior.Fingerprint()
 	e.mu.Lock()
 	if ent, ok := e.cache[fp]; ok {
 		e.hits++
@@ -209,7 +121,7 @@ func (e *Engine) entryForFP(fp fingerprint, prior *circuit.Circuit) (*cacheEntry
 }
 
 // touch moves fp to the most-recently-used end. Called with e.mu held.
-func (e *Engine) touch(fp fingerprint) {
+func (e *Engine) touch(fp [16]byte) {
 	for i, f := range e.order {
 		if f == fp {
 			copy(e.order[i:], e.order[i+1:])

@@ -148,8 +148,8 @@ type Engine struct {
 	metrics engineMetrics
 
 	mu       sync.Mutex
-	cache    map[fingerprint]*cacheEntry
-	order    []fingerprint // LRU order, most recent last
+	cache    map[[16]byte]*cacheEntry // by prior circuit fingerprint
+	order    [][16]byte               // LRU order, most recent last
 	maxEntry int
 	hits     uint64
 	misses   uint64
@@ -198,7 +198,7 @@ func New(opt Options) *Engine {
 	}
 	return &Engine{
 		metrics:  newEngineMetrics(opt.Metrics),
-		cache:    make(map[fingerprint]*cacheEntry),
+		cache:    make(map[[16]byte]*cacheEntry),
 		maxEntry: opt.CacheSize,
 	}
 }
@@ -444,28 +444,27 @@ func (e *Engine) EvaluateBatch(ctx context.Context, specs []Spec) ([]Result, err
 // overlap instead of serializing.
 func (e *Engine) buildEntries(states []*evalState) error {
 	type build struct {
-		fp  fingerprint
 		st  *evalState // representative state carrying the prior
 		ent *cacheEntry
 		err error
 	}
 	var (
 		uniq  []*build
-		byFP  = make(map[fingerprint]*build)
+		byFP  = make(map[[16]byte]*build)
 		index = make([]*build, len(states))
 	)
 	for i, st := range states {
-		fp := fingerprintOf(st.prior)
+		fp := st.prior.Fingerprint()
 		b, ok := byFP[fp]
 		if !ok {
-			b = &build{fp: fp, st: st}
+			b = &build{st: st}
 			byFP[fp] = b
 			uniq = append(uniq, b)
 		}
 		index[i] = b
 	}
 	if len(uniq) == 1 {
-		ent, err := e.entryForFP(uniq[0].fp, uniq[0].st.prior)
+		ent, err := e.entryFor(uniq[0].st.prior)
 		if err != nil {
 			return err
 		}
@@ -477,7 +476,7 @@ func (e *Engine) buildEntries(states []*evalState) error {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				b.ent, b.err = e.entryForFP(b.fp, b.st.prior)
+				b.ent, b.err = e.entryFor(b.st.prior)
 			}()
 		}
 		wg.Wait()
@@ -698,8 +697,9 @@ func (e *Engine) runChunk(ctx context.Context, c *circuit.Circuit, ent *cacheEnt
 			e.metrics.latency.Observe(e.metrics.registry.Now().Sub(start).Nanoseconds())
 		}()
 	}
-	dec := ent.getDecoder(kind)
-	defer ent.putDecoder(kind, dec)
+	pool := ent.pool(kind)
+	dec := pool.Get().(decoder.Decoder)
+	defer pool.Put(dec)
 	fs := ent.getSim(c, seed)
 	defer ent.putSim(fs)
 	sc := scratchPool.Get().(*batchScratch)

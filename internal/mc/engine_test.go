@@ -67,7 +67,7 @@ func TestSerialParallelConsistency(t *testing.T) {
 func TestCacheCorrectness(t *testing.T) {
 	cLow := memCircuit(t, 3, 3, 1e-3)
 	cHigh := memCircuit(t, 3, 3, 8e-3)
-	if Fingerprint(cLow) == Fingerprint(cHigh) {
+	if cLow.Fingerprint() == cHigh.Fingerprint() {
 		t.Fatal("circuits with different noise rates share a fingerprint")
 	}
 

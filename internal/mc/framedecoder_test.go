@@ -42,8 +42,11 @@ func TestSampleChunksMatchesEvaluate(t *testing.T) {
 	if fd.NumDetectors() != c.NumDetectors || fd.NumObs() != c.NumObs {
 		t.Fatalf("FrameDecoder dims (%d,%d), want (%d,%d)", fd.NumDetectors(), fd.NumObs(), c.NumDetectors, c.NumObs)
 	}
-	if fd.CircuitFingerprint() != Fingerprint(c) {
+	if fd.CircuitFingerprint() != c.Fingerprint() {
 		t.Fatal("FrameDecoder fingerprint mismatch")
+	}
+	if fd.NumRounds() != c.NumRounds || fd.Window() != 0 {
+		t.Fatalf("FrameDecoder rounds=%d window=%d, want %d whole-shot", fd.NumRounds(), fd.Window(), c.NumRounds)
 	}
 
 	got, total := 0, 0

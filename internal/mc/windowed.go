@@ -1,163 +1,11 @@
 package mc
 
 import (
-	"caliqec/internal/circuit"
 	"caliqec/internal/decoder"
-	"caliqec/internal/obs"
 	"caliqec/internal/sim"
 	"context"
 	"fmt"
-	"math/bits"
-	"sync"
 )
-
-// WindowedFrameDecoder is the bounded-latency counterpart of FrameDecoder:
-// it decodes frames through a sliding round window (decoder.Windowed over
-// the same cached graph an Evaluate would use), committing corrections as
-// rounds slide out. Resident decode state is O(window), independent of how
-// many rounds a stream carries, and each round's decode cost is bounded by
-// one window decode — the property the per-round latency budget in CI
-// measures.
-//
-// Safe for concurrent use: every call checks a windowed decoder out of the
-// pool and returns it before reporting.
-type WindowedFrameDecoder struct {
-	ent       *cacheEntry
-	window    int
-	obsMask   uint64
-	numDet    int
-	numObs    int
-	numRounds int
-	fp        [16]byte
-	pool      sync.Pool // *decoder.Windowed
-
-	// Optional per-round latency histogram (stream.decode.round.latency),
-	// installed by SetRoundMetrics. Nil handles skip timing entirely.
-	registry     *obs.Registry
-	roundLatency *obs.Histogram
-}
-
-// WindowedFrameDecoder returns a sliding-window per-frame decoder over the
-// cached decoding graph of prior. The prior must carry round structure
-// (built by circuit.Builder with Ticks) and window must be >= 1; a window
-// of at least NumRounds degenerates to whole-shot decoding bit-identically.
-func (e *Engine) WindowedFrameDecoder(prior *circuit.Circuit, window int) (*WindowedFrameDecoder, error) {
-	if prior == nil {
-		return nil, fmt.Errorf("mc: nil circuit")
-	}
-	if prior.NumObs > 64 {
-		return nil, fmt.Errorf("mc: %d observables exceed the 64-bit mask limit", prior.NumObs)
-	}
-	ent, err := e.entryFor(prior)
-	if err != nil {
-		return nil, err
-	}
-	// Build one eagerly so configuration errors (roundless graph, bad
-	// window) surface here rather than inside a decode worker.
-	first, err := decoder.NewWindowed(ent.graph, window)
-	if err != nil {
-		return nil, err
-	}
-	e.publishCacheStats()
-	wd := &WindowedFrameDecoder{
-		ent:       ent,
-		window:    window,
-		obsMask:   observableMask(prior.NumObs),
-		numDet:    prior.NumDetectors,
-		numObs:    prior.NumObs,
-		numRounds: ent.graph.NumRounds,
-		fp:        fingerprintOf(prior),
-	}
-	g := ent.graph
-	wd.pool.New = func() interface{} {
-		w, nerr := decoder.NewWindowed(g, window)
-		if nerr != nil {
-			panic(nerr) //lint:allow panicpolicy same (graph, window) pair validated by the first NewWindowed above; failure here is an internal invariant break
-		}
-		return w
-	}
-	wd.pool.Put(first)
-	return wd, nil
-}
-
-// NumDetectors returns the detector count of the decoder's circuit.
-func (wd *WindowedFrameDecoder) NumDetectors() int { return wd.numDet }
-
-// NumObs returns the observable count of the decoder's circuit.
-func (wd *WindowedFrameDecoder) NumObs() int { return wd.numObs }
-
-// NumRounds returns the circuit's round count.
-func (wd *WindowedFrameDecoder) NumRounds() int { return wd.numRounds }
-
-// Window returns the window size in rounds.
-func (wd *WindowedFrameDecoder) Window() int { return wd.window }
-
-// CircuitFingerprint returns the content fingerprint of the prior circuit.
-func (wd *WindowedFrameDecoder) CircuitFingerprint() [16]byte { return wd.fp }
-
-// DetectorQubits returns a copy of the graph's detector→qubit attribution
-// (nil when the circuit carries none).
-func (wd *WindowedFrameDecoder) DetectorQubits() []int {
-	return append([]int(nil), wd.ent.graph.NodeQubit...)
-}
-
-// DetectorRounds returns a copy of the graph's detector→round layering (nil
-// when the circuit carries no round structure).
-func (wd *WindowedFrameDecoder) DetectorRounds() []int {
-	return append([]int(nil), wd.ent.graph.NodeRound...)
-}
-
-// SetRoundMetrics installs a per-round decode-latency histogram
-// (stream.decode.round.latency) in r; nil selects obs.Default. Call before
-// decoding starts.
-func (wd *WindowedFrameDecoder) SetRoundMetrics(r *obs.Registry) {
-	if r == nil {
-		r = obs.Default
-	}
-	wd.registry = r
-	wd.roundLatency = r.Histogram("stream.decode.round.latency")
-}
-
-// DecodeFrame decodes one whole-shot frame through the sliding window:
-// the sorted syndrome is split into rounds (a single linear walk — detector
-// order agrees with round order by the dem round-map contract) and ingested
-// round by round, committing as the window slides. Returns the predicted
-// observable flip mask.
-func (wd *WindowedFrameDecoder) DecodeFrame(syndrome []int) uint64 {
-	w := wd.pool.Get().(*decoder.Windowed)
-	w.Reset()
-	nodeRound := wd.ent.graph.NodeRound
-	i := 0
-	for r := 0; r < wd.numRounds; r++ {
-		j := i
-		for j < len(syndrome) && nodeRound[syndrome[j]] == r {
-			j++
-		}
-		var err error
-		if wd.roundLatency != nil {
-			start := wd.registry.Now()
-			err = w.IngestRound(syndrome[i:j])
-			wd.roundLatency.Observe(wd.registry.Now().Sub(start).Nanoseconds())
-		} else {
-			err = w.IngestRound(syndrome[i:j])
-		}
-		if err != nil {
-			// Unreachable for sorted in-range syndromes of this circuit;
-			// reaching it means the splitter contract broke.
-			panic(err) //lint:allow panicpolicy unreachable for the splitter's sorted in-range rounds; reaching it is an internal invariant break
-		}
-		i = j
-	}
-	pred := w.Flush() & wd.obsMask
-	wd.pool.Put(w)
-	return pred
-}
-
-// ScoreFrame implements stream.FrameScorer: decode one frame through the
-// window and report whether it is a logical failure.
-func (wd *WindowedFrameDecoder) ScoreFrame(syndrome []int, actual uint64) bool {
-	return wd.DecodeFrame(syndrome) != actual&wd.obsMask
-}
 
 // WindowAblation is the result of AblateWindows: logical failure counts of
 // whole-shot decoding and of each windowed decoder over one common sampled
@@ -180,76 +28,50 @@ func (a *WindowAblation) WindowLER(i int) float64 {
 }
 
 // AblateWindows samples spec's shot stream once (bit-identical to Evaluate's
-// randomness, via SampleChunks) and scores every shot with the whole-shot
-// union-find decoder and with a windowed decoder per requested window size.
-// Early-stop criteria in spec are ignored; the full Shots budget is sampled.
+// randomness, via SampleChunks) and scores every sampler batch with the
+// whole-shot union-find decoder and with a windowed decoder per requested
+// window size, each through the engine's own batch scorer. Early-stop
+// criteria in spec are ignored; the full Shots budget is sampled.
 func (e *Engine) AblateWindows(ctx context.Context, spec Spec, windows []int) (*WindowAblation, error) {
 	prior := spec.Prior
 	if prior == nil {
 		prior = spec.Circuit
 	}
-	fd, err := e.FrameDecoder(prior, decoder.KindUnionFind)
+	ent, err := e.frameEntry(prior)
 	if err != nil {
 		return nil, err
 	}
-	wds := make([]*WindowedFrameDecoder, len(windows))
-	for i, w := range windows {
-		if wds[i], err = e.WindowedFrameDecoder(prior, w); err != nil {
+	pool := ent.pool(decoder.KindUnionFind)
+	whole := pool.Get().(decoder.Decoder)
+	defer pool.Put(whole)
+	decs := []decoder.Decoder{whole}
+	for _, w := range windows {
+		wd, err := decoder.NewWindowed(ent.graph, w)
+		if err != nil {
 			return nil, fmt.Errorf("mc: window %d: %w", w, err)
 		}
+		decs = append(decs, wd)
 	}
-	ab := &WindowAblation{
-		Windows:      append([]int(nil), windows...),
-		WindowFails:  make([]int, len(windows)),
-		NumRounds:    fd.ent.graph.NumRounds,
-		NumDetectors: spec.Circuit.NumDetectors,
-	}
+	fails := make([]int, len(decs))
+	shots := 0
 	obsMask := observableMask(spec.Circuit.NumObs)
-	var perShot [sim.LaneShots][]int
-	var actual [sim.LaneShots]uint64
+	sc := new(batchScratch)
 	err = SampleChunks(ctx, spec, func(b sim.BatchResult) error {
-		words := b.Words()
-		for s := 0; s < b.Shots; s++ {
-			perShot[s] = perShot[s][:0]
-			actual[s] = 0
+		for i, dec := range decs {
+			fails[i] += countBatchFailures(dec, b, obsMask, sc)
 		}
-		// Transpose detector lanes (bit s%64 of word s/64 per shot) into
-		// per-shot sorted syndromes; detectors are visited in ascending
-		// order so each shot's list is born sorted.
-		for d := range b.Detectors {
-			for w := 0; w < words; w++ {
-				base := w * 64
-				for word := b.Detectors[d][w]; word != 0; word &= word - 1 {
-					s := base + bits.TrailingZeros64(word)
-					perShot[s] = append(perShot[s], d)
-				}
-			}
-		}
-		for o := range b.Observables {
-			obit := uint64(1) << uint(o)
-			for w := 0; w < words; w++ {
-				base := w * 64
-				for word := b.Observables[o][w]; word != 0; word &= word - 1 {
-					actual[base+bits.TrailingZeros64(word)] |= obit
-				}
-			}
-		}
-		for s := 0; s < b.Shots; s++ {
-			a := actual[s] & obsMask
-			if fd.ScoreFrame(perShot[s], a) {
-				ab.WholeFails++
-			}
-			for i := range wds {
-				if wds[i].ScoreFrame(perShot[s], a) {
-					ab.WindowFails[i]++
-				}
-			}
-			ab.Shots++
-		}
+		shots += b.Shots
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return ab, nil
+	return &WindowAblation{
+		Shots:        shots,
+		WholeFails:   fails[0],
+		Windows:      append([]int(nil), windows...),
+		WindowFails:  fails[1:],
+		NumRounds:    ent.graph.NumRounds,
+		NumDetectors: spec.Circuit.NumDetectors,
+	}, nil
 }

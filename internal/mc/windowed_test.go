@@ -5,7 +5,6 @@ import (
 	"caliqec/internal/code"
 	"caliqec/internal/decoder"
 	"caliqec/internal/lattice"
-	"caliqec/internal/obs"
 	"caliqec/internal/rng"
 	"caliqec/internal/sim"
 	"context"
@@ -113,7 +112,7 @@ func TestWindowedFrameDecoderConcurrent(t *testing.T) {
 	if wd.NumRounds() != c.NumRounds || wd.Window() != 3 {
 		t.Fatalf("dims: rounds=%d window=%d", wd.NumRounds(), wd.Window())
 	}
-	if wd.CircuitFingerprint() != Fingerprint(c) {
+	if wd.CircuitFingerprint() != c.Fingerprint() {
 		t.Fatal("fingerprint mismatch")
 	}
 	var syndromes [][]int
@@ -144,26 +143,6 @@ func TestWindowedFrameDecoderConcurrent(t *testing.T) {
 		if bad := <-done; bad != 0 {
 			t.Fatalf("%d mismatched predictions under concurrency", bad)
 		}
-	}
-}
-
-// TestWindowedRoundLatencyMetrics: SetRoundMetrics records one histogram
-// sample per ingested round.
-func TestWindowedRoundLatencyMetrics(t *testing.T) {
-	c := windowedTestCircuit(t, 3, 4, 2e-3)
-	wd, err := New(Options{}).WindowedFrameDecoder(c, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry(nil)
-	wd.SetRoundMetrics(reg)
-	const frames = 7
-	for i := 0; i < frames; i++ {
-		wd.DecodeFrame(nil)
-	}
-	h := reg.Histogram("stream.decode.round.latency")
-	if got, want := h.Count(), int64(frames*c.NumRounds); got != want {
-		t.Fatalf("round latency samples %d, want %d (%d frames x %d rounds)", got, want, frames, c.NumRounds)
 	}
 }
 

@@ -98,6 +98,24 @@ func TestChannelMatchesPlainSampler(t *testing.T) {
 	}
 }
 
+// TestChannelTinyProbabilityEmptyWord: far below p = 1e-17 the gap
+// quotient of a first draw under the cut can exceed the int range (at
+// p = 1e-30 and u = 5e-10 it is 5e20). The first success still lies far
+// past the word, so the word must come back empty.
+func TestChannelTinyProbabilityEmptyWord(t *testing.T) {
+	for _, p := range []float64{1e-30, 1e-25} {
+		ch := newChannel(p)
+		for _, u := range []float64{5e-10, math.Nextafter(ch.cut, 0), 1e-15} {
+			if u >= ch.cut {
+				t.Fatalf("p=%g: first draw %g not below the cut %g", p, u, ch.cut)
+			}
+			if m := ch.from(rng.New(29), u); m != 0 {
+				t.Errorf("p=%g first draw %g: mask %#x, want an empty word", p, u, m)
+			}
+		}
+	}
+}
+
 // FuzzChannelMatchesPlainSampler: for any probability and seed, the
 // channel's masks and draws match the plain sampler's over 256 words.
 // Probabilities in (0, 1e-17) are skipped: there the plain sampler's gap

@@ -195,12 +195,14 @@ func (ch *channel) gaps(r *rng.RNG, u float64) uint64 {
 	var mask uint64
 	i := 0
 	for {
-		// Gap ~ floor(log(1-u)/log(1-p)); u in [0,1) keeps log finite.
-		gap := int(math.Log1p(-u) / ch.logq)
-		i += gap
-		if i >= 64 {
+		// Gap ~ floor(log(1-u)/log(1-p)); u in [0,1) keeps log finite. The
+		// quotient is compared with the bits left before it becomes an int:
+		// for tiny p it can exceed the int range.
+		gap := math.Log1p(-u) / ch.logq
+		if gap >= float64(64-i) {
 			return mask
 		}
+		i += int(gap)
 		mask |= 1 << uint(i)
 		i++
 		u = r.Float64()

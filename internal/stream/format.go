@@ -109,7 +109,7 @@ var (
 
 // Header is the self-describing trace preamble.
 type Header struct {
-	// Fingerprint is mc.Fingerprint of the sampled circuit; replay matches
+	// Fingerprint is the sampled circuit's Fingerprint; replay matches
 	// it against the decoder's circuit before decoding a single frame.
 	Fingerprint [16]byte
 	// NumDetectors and NumObs fix the frame geometry.

@@ -181,11 +181,11 @@ type Monitor struct {
 
 // NewMonitor builds a monitor for one stream. Detector-to-qubit and
 // detector-to-round attribution is pulled from scorer when it exposes the
-// decoding graph's maps (as *mc.FrameDecoder and *mc.WindowedFrameDecoder
-// do); otherwise drifting detectors report qubit and round -1. Metrics land
-// in reg (nil selects obs.Default; obs.Discard disables them, including the
-// estimator-update latency timing). Pool.Open constructs one per stream
-// when Config.Estimator.Window > 0; construct directly only to feed frames
+// decoding graph's maps (as *mc.FrameDecoder does); otherwise drifting
+// detectors report qubit and round -1. Metrics land in reg (nil selects
+// obs.Default; obs.Discard disables them, including the estimator-update
+// latency timing). Pool.Open constructs one per stream when
+// Config.Estimator.Window > 0; construct directly only to feed frames
 // outside the pool.
 func NewMonitor(cfg EstimatorConfig, scorer FrameScorer, h Header, reg *obs.Registry) *Monitor {
 	cfg = cfg.resolved()

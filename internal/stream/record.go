@@ -27,7 +27,7 @@ func Record(ctx context.Context, spec mc.Spec, w io.Writer) (int, error) {
 		return 0, fmt.Errorf("stream: nil circuit")
 	}
 	h := Header{
-		Fingerprint:  mc.Fingerprint(spec.Circuit),
+		Fingerprint:  spec.Circuit.Fingerprint(),
 		NumDetectors: spec.Circuit.NumDetectors,
 		NumObs:       spec.Circuit.NumObs,
 		Seed:         spec.Seed,

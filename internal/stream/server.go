@@ -64,8 +64,8 @@ func (c *Catalog) Len() int {
 }
 
 // Resolve returns the scorer for h's fingerprint, verifying the trace
-// geometry against the scorer's circuit when the scorer exposes it (as
-// *mc.FrameDecoder does).
+// geometry — detectors, observables and rounds per shot — against the
+// scorer's circuit when the scorer exposes it (as *mc.FrameDecoder does).
 func (c *Catalog) Resolve(h Header) (FrameScorer, error) {
 	c.mu.RLock()
 	s, ok := c.m[h.Fingerprint]
@@ -82,11 +82,12 @@ func (c *Catalog) Resolve(h Header) (FrameScorer, error) {
 				h.NumDetectors, h.NumObs, dims.NumDetectors(), dims.NumObs())
 		}
 	}
-	// Round geometry: a windowed decoder (exposing NumRounds, as
-	// *mc.WindowedFrameDecoder does) splits each frame by round, so a trace
-	// recorded with a different rounds-per-shot would be mis-sliced. v1
-	// traces carry no round count (h.Rounds == 0) and are accepted — the
-	// decoder's own round map governs the split.
+	// Round geometry: a windowed decoder splits each frame by round, so a
+	// trace recorded with a different rounds-per-shot would be mis-sliced,
+	// and a whole-shot decoder's graph would not be the trace's. Traces
+	// recorded from the registered circuit carry its round count; v1 traces
+	// carry none (h.Rounds == 0) and are accepted — the decoder's own round
+	// map governs the split.
 	if rd, ok := s.(interface{ NumRounds() int }); ok && h.Rounds > 0 {
 		if rd.NumRounds() != h.Rounds {
 			return nil, fmt.Errorf("stream: trace rounds/shot %d does not match decoder rounds %d", h.Rounds, rd.NumRounds())

@@ -68,7 +68,7 @@ func TestRecordReplayMatchesEvaluate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h := r.Header(); h.Fingerprint != mc.Fingerprint(spec.Circuit) ||
+		if h := r.Header(); h.Fingerprint != spec.Circuit.Fingerprint() ||
 			h.Seed != spec.Seed || h.Shots != uint64(spec.Shots) {
 			t.Fatalf("trace header %+v does not carry spec metadata", h)
 		}

@@ -6,14 +6,15 @@ import (
 	"strings"
 	"testing"
 
+	"caliqec/internal/decoder"
 	"caliqec/internal/mc"
 	"caliqec/internal/obs"
 	"caliqec/internal/stream"
 )
 
 // TestReplayWindowedDecoder is the streaming half of the windowed
-// equivalence contract: a recorded trace replayed through a
-// WindowedFrameDecoder with a full window reproduces the whole-shot
+// equivalence contract: a recorded trace replayed through a windowed
+// FrameDecoder with a full window reproduces the whole-shot
 // evaluation bit-identically, and a genuinely sliding window (W=3) stays
 // within the same statistical tolerance the mc-level ablation enforces.
 func TestReplayWindowedDecoder(t *testing.T) {
@@ -87,35 +88,43 @@ func TestReplayWindowedDecoder(t *testing.T) {
 }
 
 // TestCatalogResolveRoundMismatch: a trace whose header advertises a
-// rounds-per-shot different from the registered windowed decoder must be
-// refused, while a v1 trace (no round metadata) is still served.
+// rounds-per-shot different from the registered decoder's circuit must be
+// refused, whether the decoder is whole-shot or windowed, while the
+// matching count and a v1 trace (no round metadata) are still served.
 func TestCatalogResolveRoundMismatch(t *testing.T) {
 	spec := memorySpec(t, 3, 3e-3, 10)
-	wd, err := mc.New(mc.Options{}).WindowedFrameDecoder(spec.Circuit, 3)
+	eng := mc.New(mc.Options{})
+	whole, err := eng.FrameDecoder(spec.Circuit, decoder.KindUnionFind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := stream.NewCatalog()
-	cat.Register(wd.CircuitFingerprint(), wd)
+	windowed, err := eng.WindowedFrameDecoder(spec.Circuit, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range []*mc.FrameDecoder{whole, windowed} {
+		cat := stream.NewCatalog()
+		cat.Register(fd.CircuitFingerprint(), fd)
 
-	h := stream.Header{
-		Fingerprint:  wd.CircuitFingerprint(),
-		NumDetectors: wd.NumDetectors(),
-		NumObs:       wd.NumObs(),
-		Rounds:       wd.NumRounds() + 1,
-	}
-	if _, err := cat.Resolve(h); err == nil {
-		t.Fatal("round-count mismatch accepted")
-	} else if !strings.Contains(err.Error(), "rounds") {
-		t.Fatalf("unexpected error: %v", err)
-	}
+		h := stream.Header{
+			Fingerprint:  fd.CircuitFingerprint(),
+			NumDetectors: fd.NumDetectors(),
+			NumObs:       fd.NumObs(),
+			Rounds:       fd.NumRounds() + 1,
+		}
+		if _, err := cat.Resolve(h); err == nil {
+			t.Fatalf("window=%d: round-count mismatch accepted", fd.Window())
+		} else if !strings.Contains(err.Error(), "rounds") {
+			t.Fatalf("window=%d: unexpected error: %v", fd.Window(), err)
+		}
 
-	h.Rounds = wd.NumRounds()
-	if _, err := cat.Resolve(h); err != nil {
-		t.Fatalf("matching rounds rejected: %v", err)
-	}
-	h.Rounds = 0 // v1 trace: no round metadata recorded
-	if _, err := cat.Resolve(h); err != nil {
-		t.Fatalf("v1 trace rejected: %v", err)
+		h.Rounds = fd.NumRounds()
+		if _, err := cat.Resolve(h); err != nil {
+			t.Fatalf("window=%d: matching rounds rejected: %v", fd.Window(), err)
+		}
+		h.Rounds = 0 // v1 trace: no round metadata recorded
+		if _, err := cat.Resolve(h); err != nil {
+			t.Fatalf("window=%d: v1 trace rejected: %v", fd.Window(), err)
+		}
 	}
 }
