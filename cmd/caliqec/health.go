@@ -117,8 +117,11 @@ func cmdHealth(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	poll := func() error {
-		snaps, err := fetchHealth(*addr, *one)
+		snaps, err := fetchHealth(ctx, *addr, *one)
 		if err != nil {
+			if ctx.Err() != nil {
+				return nil // interrupted mid-poll, as the -watch loop is between polls
+			}
 			return err
 		}
 		renderHealth(os.Stdout, snaps)
@@ -145,13 +148,19 @@ func cmdHealth(args []string) error {
 	}
 }
 
-// fetchHealth retrieves one or all stream snapshots from the endpoint.
-func fetchHealth(addr, one string) ([]stream.HealthSnapshot, error) {
+// fetchHealth retrieves one or all stream snapshots from the endpoint. It
+// gives up when ctx is done, so an interrupt ends a poll the endpoint never
+// answers.
+func fetchHealth(ctx context.Context, addr, one string) ([]stream.HealthSnapshot, error) {
 	url := "http://" + addr + "/health"
 	if one != "" {
 		url += "/stream/" + one
 	}
-	resp, err := http.Get(url)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

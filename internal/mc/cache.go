@@ -4,29 +4,35 @@ import (
 	"caliqec/internal/circuit"
 	"caliqec/internal/decoder"
 	"caliqec/internal/dem"
-	"caliqec/internal/rng"
 	"caliqec/internal/sim"
 	"fmt"
-	"runtime"
 	"sync"
 )
 
-// cacheEntry holds everything derivable from one prior circuit: its DEM,
-// the decoding graph, a pool of reusable decoder instances per kind
-// (decoders carry scratch state, so one instance serves one worker at a
-// time; pooling avoids rebuilding their adjacency scans every chunk), and a
-// free list of frame simulators (a simulator's compiled program and frame
-// storage are reusable across chunks after a Reset).
+// cacheKey names a cache entry: the fingerprints of the sampled circuit and
+// of the prior its decoders were built from. The two are equal when a spec
+// decodes with its own circuit's rates.
+type cacheKey struct{ circuit, prior [16]byte }
+
+// cacheEntry holds everything derivable from one (sampled circuit, prior)
+// pair: the prior's DEM, the decoding graph and a pool of reusable decoder
+// instances per kind (decoders carry scratch state, so one instance serves
+// one worker at a time; pooling avoids rebuilding their adjacency scans
+// every chunk), and the sampled circuit's compiled sim.Program with a pool
+// of frame simulators over it. The program is compiled on the first
+// sample, so entries that only decode frames never compile one; every
+// worker then shares it, and a simulator carries only lanes, noise buffer
+// and RNG.
 type cacheEntry struct {
 	model *dem.Model
 	graph *decoder.Graph
 	pools [2]sync.Pool // indexed by decoder.DecoderKind
 
-	simMu sync.Mutex
-	sims  []*sim.FrameSimulator
+	program func() *sim.Program
+	sims    sync.Pool // *sim.FrameSimulator over program()
 }
 
-func newCacheEntry(prior *circuit.Circuit) (*cacheEntry, error) {
+func newCacheEntry(c, prior *circuit.Circuit) (*cacheEntry, error) {
 	model, err := dem.FromCircuit(prior)
 	if err != nil {
 		return nil, fmt.Errorf("mc: extracting DEM: %w", err)
@@ -40,6 +46,8 @@ func newCacheEntry(prior *circuit.Circuit) (*cacheEntry, error) {
 		k := decoder.DecoderKind(kind)
 		ent.pools[kind].New = func() interface{} { return decoder.New(k, g) }
 	}
+	ent.program = sync.OnceValue(func() *sim.Program { return sim.Compile(c) })
+	ent.sims.New = func() interface{} { return ent.program().NewSimulator(nil) }
 	return ent, nil
 }
 
@@ -51,81 +59,48 @@ func (ent *cacheEntry) pool(kind decoder.DecoderKind) *sync.Pool {
 	return &ent.pools[0]
 }
 
-// getSim returns a pooled frame simulator compiled for exactly c, rebound
-// to r, or builds a fresh one. Matching is by circuit identity: stale-prior
-// specs share a cache entry keyed by the prior but sample a *different*
-// circuit, so a free simulator is only reused when it was compiled for the
-// same circuit pointer.
-func (ent *cacheEntry) getSim(c *circuit.Circuit, r *rng.RNG) *sim.FrameSimulator {
-	ent.simMu.Lock()
-	for i := len(ent.sims) - 1; i >= 0; i-- {
-		if ent.sims[i].Circuit() == c {
-			fs := ent.sims[i]
-			last := len(ent.sims) - 1
-			ent.sims[i] = ent.sims[last]
-			ent.sims[last] = nil
-			ent.sims = ent.sims[:last]
-			ent.simMu.Unlock()
-			fs.Reset(r)
-			return fs
-		}
-	}
-	ent.simMu.Unlock()
-	return sim.NewFrameSimulator(c, r)
-}
-
-// putSim returns a simulator to the free list, bounded at twice GOMAXPROCS
-// so an entry never hoards more simulators than a full worker pool can use.
-func (ent *cacheEntry) putSim(fs *sim.FrameSimulator) {
-	ent.simMu.Lock()
-	if len(ent.sims) < 2*runtime.GOMAXPROCS(0) {
-		ent.sims = append(ent.sims, fs)
-	}
-	ent.simMu.Unlock()
-}
-
-// entryFor returns the cached DEM+graph for prior, keyed by its
-// fingerprint, building and inserting it on a miss (LRU eviction beyond the
-// configured size).
-func (e *Engine) entryFor(prior *circuit.Circuit) (*cacheEntry, error) {
-	fp := prior.Fingerprint()
+// entryFor returns the cached entry for sampling c and decoding with prior,
+// building and inserting it on a miss (LRU eviction beyond the configured
+// size).
+func (e *Engine) entryFor(c, prior *circuit.Circuit) (*cacheEntry, error) {
+	key := cacheKey{c.Fingerprint(), prior.Fingerprint()}
 	e.mu.Lock()
-	if ent, ok := e.cache[fp]; ok {
+	if ent, ok := e.cache[key]; ok {
 		e.hits++
-		e.touch(fp)
+		e.touch(key)
 		e.mu.Unlock()
 		return ent, nil
 	}
 	e.misses++
 	e.mu.Unlock()
 
-	// Built outside the lock: concurrent misses on the same circuit may
-	// build twice, but the last insert wins and both results are valid.
-	ent, err := newCacheEntry(prior)
+	// Built outside the lock: concurrent misses on the same pair may build
+	// twice, but the first insert wins and both results are valid.
+	ent, err := newCacheEntry(c, prior)
 	if err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
-	if _, ok := e.cache[fp]; !ok {
-		e.cache[fp] = ent
-		e.order = append(e.order, fp)
+	if _, ok := e.cache[key]; !ok {
+		e.cache[key] = ent
+		e.order = append(e.order, key)
 		for len(e.cache) > e.maxEntry {
 			oldest := e.order[0]
 			e.order = e.order[1:]
 			delete(e.cache, oldest)
 		}
 	}
-	ent = e.cache[fp]
+	ent = e.cache[key]
 	e.mu.Unlock()
 	return ent, nil
 }
 
-// touch moves fp to the most-recently-used end. Called with e.mu held.
-func (e *Engine) touch(fp [16]byte) {
-	for i, f := range e.order {
-		if f == fp {
+// touch moves key to the most-recently-used end. Called with e.mu held.
+func (e *Engine) touch(key cacheKey) {
+	for i, k := range e.order {
+		if k == key {
 			copy(e.order[i:], e.order[i+1:])
-			e.order[len(e.order)-1] = fp
+			e.order[len(e.order)-1] = key
 			return
 		}
 	}

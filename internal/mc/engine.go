@@ -12,12 +12,13 @@
 //     in-flight evaluation between sampler batches, so long sweeps
 //     (Table 2 fits, repro runs, benchmarks) stop promptly on Ctrl-C or
 //     deadline.
-//   - Caching. DEM extraction and decoding-graph construction are cached
-//     behind a content fingerprint of the prior circuit (instructions and
-//     noise parameters included), so repeated evaluations of the same
-//     circuit — the dominant pattern in internal/exp — pay graph
-//     construction once. Decoder and frame-simulator instances are pooled
-//     per cached graph.
+//   - Caching. DEM extraction, decoding-graph construction and sampler
+//     compilation are cached behind the content fingerprints of the
+//     sampled circuit and the prior (instructions and noise parameters
+//     included), so repeated evaluations of the same circuit — the
+//     dominant pattern in internal/exp — pay them once. Each entry pools
+//     decoder instances over its graph and frame simulators over its one
+//     compiled sim.Program.
 //   - Adaptive early stopping. Besides the fixed-shot mode, an evaluation
 //     can stop as soon as a target failure count is reached or the 95%
 //     Wilson interval is narrower than a target width, reporting the shots
@@ -132,8 +133,8 @@ type Result struct {
 
 // Options configures an Engine.
 type Options struct {
-	// CacheSize bounds the number of cached DEM+graph entries (LRU);
-	// ≤ 0 selects the default (64).
+	// CacheSize bounds the number of cached entries, one per (sampled
+	// circuit, prior) pair (LRU); ≤ 0 selects the default (64).
 	CacheSize int
 	// Metrics selects the registry the engine records into; nil selects
 	// obs.Default. Pass obs.Discard for an uninstrumented engine (the
@@ -148,8 +149,8 @@ type Engine struct {
 	metrics engineMetrics
 
 	mu       sync.Mutex
-	cache    map[[16]byte]*cacheEntry // by prior circuit fingerprint
-	order    [][16]byte               // LRU order, most recent last
+	cache    map[cacheKey]*cacheEntry
+	order    []cacheKey // LRU order, most recent last
 	maxEntry int
 	hits     uint64
 	misses   uint64
@@ -198,7 +199,7 @@ func New(opt Options) *Engine {
 	}
 	return &Engine{
 		metrics:  newEngineMetrics(opt.Metrics),
-		cache:    make(map[[16]byte]*cacheEntry),
+		cache:    make(map[cacheKey]*cacheEntry),
 		maxEntry: opt.CacheSize,
 	}
 }
@@ -350,7 +351,7 @@ func (e *Engine) Evaluate(ctx context.Context, spec Spec) (Result, error) {
 	defer span.End()
 	span.SetAttr("shots", spec.Shots)
 	span.SetAttr("detectors", spec.Circuit.NumDetectors)
-	st.ent, err = e.entryFor(st.prior)
+	st.ent, err = e.entryFor(spec.Circuit, st.prior)
 	if err != nil {
 		return Result{}, err
 	}
@@ -439,55 +440,38 @@ func (e *Engine) EvaluateBatch(ctx context.Context, specs []Spec) ([]Result, err
 }
 
 // buildEntries resolves the cache entry of every state, building distinct
-// priors concurrently: on a cold sweep over D distinct circuits the DEM
+// entries concurrently: on a cold sweep over D distinct circuits the DEM
 // extractions and graph constructions — the dominant cold-start cost —
-// overlap instead of serializing.
+// overlap instead of serializing. States that share a (circuit, prior)
+// pair share one build; the first failed build in state order is returned.
 func (e *Engine) buildEntries(states []*evalState) error {
 	type build struct {
-		st  *evalState // representative state carrying the prior
 		ent *cacheEntry
 		err error
 	}
-	var (
-		uniq  []*build
-		byFP  = make(map[[16]byte]*build)
-		index = make([]*build, len(states))
-	)
+	var wg sync.WaitGroup
+	builds := make(map[cacheKey]*build)
+	perState := make([]*build, len(states))
 	for i, st := range states {
-		fp := st.prior.Fingerprint()
-		b, ok := byFP[fp]
+		key := cacheKey{st.spec.Circuit.Fingerprint(), st.prior.Fingerprint()}
+		b, ok := builds[key]
 		if !ok {
-			b = &build{st: st}
-			byFP[fp] = b
-			uniq = append(uniq, b)
-		}
-		index[i] = b
-	}
-	if len(uniq) == 1 {
-		ent, err := e.entryFor(uniq[0].st.prior)
-		if err != nil {
-			return err
-		}
-		uniq[0].ent = ent
-	} else {
-		var wg sync.WaitGroup
-		for _, b := range uniq {
-			b := b
+			b = new(build)
+			builds[key] = b
 			wg.Add(1)
-			go func() {
+			go func(c, prior *circuit.Circuit) {
 				defer wg.Done()
-				b.ent, b.err = e.entryFor(b.st.prior)
-			}()
+				b.ent, b.err = e.entryFor(c, prior)
+			}(st.spec.Circuit, st.prior)
 		}
-		wg.Wait()
-		for _, b := range uniq {
-			if b.err != nil {
-				return b.err
-			}
-		}
+		perState[i] = b
 	}
+	wg.Wait()
 	for i, st := range states {
-		st.ent = index[i].ent
+		if perState[i].err != nil {
+			return perState[i].err
+		}
+		st.ent = perState[i].ent
 	}
 	return nil
 }
@@ -700,8 +684,9 @@ func (e *Engine) runChunk(ctx context.Context, c *circuit.Circuit, ent *cacheEnt
 	pool := ent.pool(kind)
 	dec := pool.Get().(decoder.Decoder)
 	defer pool.Put(dec)
-	fs := ent.getSim(c, seed)
-	defer ent.putSim(fs)
+	fs := ent.sims.Get().(*sim.FrameSimulator)
+	defer ent.sims.Put(fs)
+	fs.Reset(seed)
 	sc := scratchPool.Get().(*batchScratch)
 	defer scratchPool.Put(sc)
 	obsMask := observableMask(c.NumObs)

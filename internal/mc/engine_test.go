@@ -105,18 +105,56 @@ func TestCacheEviction(t *testing.T) {
 
 // TestStalePriorDecoding: a Prior circuit with the same structure but
 // different rates is accepted (and is the stale-priors path Fig. 13 uses);
-// a structurally different prior is rejected.
+// a structurally different prior is rejected. The cache keys an entry by
+// the (sampled circuit, prior) pair: decoding c with its own rates is a
+// second entry, sampling the prior itself a third, and re-evaluating
+// (c, prior) hits the first and reproduces its Result.
 func TestStalePriorDecoding(t *testing.T) {
 	c := memCircuit(t, 3, 3, 8e-3)
 	prior := memCircuit(t, 3, 3, 1e-3)
 	e := New(Options{})
-	res := mustEval(t, e, Spec{Circuit: c, Prior: prior, Decoder: decoder.KindUnionFind, Shots: 2000, Rounds: 3, Seed: 5})
+	stale := Spec{Circuit: c, Prior: prior, Decoder: decoder.KindUnionFind, Shots: 2000, Rounds: 3, Seed: 5}
+	res := mustEval(t, e, stale)
 	if res.Shots != 2000 {
 		t.Fatalf("spent %d shots, want 2000", res.Shots)
+	}
+	mustEval(t, e, Spec{Circuit: c, Decoder: decoder.KindUnionFind, Shots: 2000, Rounds: 3, Seed: 5})
+	if hits, misses, entries := e.CacheStats(); hits != 0 || misses != 2 || entries != 2 {
+		t.Fatalf("after (c, prior) and (c, c): hits=%d misses=%d entries=%d, want 0/2/2", hits, misses, entries)
+	}
+	if again := mustEval(t, e, stale); again != res {
+		t.Errorf("re-evaluating (c, prior) gave %+v, want %+v", again, res)
+	}
+	if hits, _, entries := e.CacheStats(); hits != 1 || entries != 2 {
+		t.Fatalf("re-evaluating (c, prior): hits=%d entries=%d, want 1/2", hits, entries)
+	}
+	mustEval(t, e, Spec{Circuit: prior, Decoder: decoder.KindUnionFind, Shots: 2000, Rounds: 3, Seed: 5})
+	if _, misses, entries := e.CacheStats(); misses != 3 || entries != 3 {
+		t.Fatalf("after (prior, prior): misses=%d entries=%d, want 3/3", misses, entries)
 	}
 	bad := memCircuit(t, 3, 2, 1e-3) // fewer rounds → fewer detectors
 	if _, err := e.Evaluate(context.Background(), Spec{Circuit: c, Prior: bad, Decoder: decoder.KindUnionFind, Shots: 100}); err == nil {
 		t.Fatal("structurally mismatched prior not rejected")
+	}
+}
+
+// TestColdEvaluateAllocs: a cache miss compiles the sampled circuit once
+// for its entry, into a program whose tables are sized up front, so a cold
+// evaluation allocates mostly for DEM extraction and graph construction
+// (about 1,540 objects here). The bound fails if compiling goes back to
+// allocating per instruction or per worker.
+func TestColdEvaluateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled objects at random")
+	}
+	spec := Spec{Circuit: memCircuit(t, 5, 5, 2e-3), Decoder: decoder.KindUnionFind, Shots: 4096, Rounds: 5, Seed: 1, Workers: 1}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := New(Options{}).Evaluate(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2500 {
+		t.Errorf("a fresh-engine Evaluate allocated %v times, want at most 2500", allocs)
 	}
 }
 

@@ -32,9 +32,11 @@ type FrameDecoder struct {
 }
 
 // FrameDecoder returns a whole-shot per-frame decoder over the (cached)
-// decoding graph of prior — the same cache entry and decoder pool an
-// Evaluate with this prior would use, so a live stream and an in-process
-// evaluation of the same circuit share one graph and one decoder pool.
+// decoding graph of prior. It shares the cache entry of an Evaluate that
+// samples and decodes prior itself, so a live stream and an in-process
+// evaluation of the same circuit share one graph and one decoder pool. A
+// FrameDecoder never samples, so it never compiles the entry's sampler
+// program.
 func (e *Engine) FrameDecoder(prior *circuit.Circuit, kind decoder.DecoderKind) (*FrameDecoder, error) {
 	ent, err := e.frameEntry(prior)
 	if err != nil {
@@ -81,7 +83,7 @@ func (e *Engine) frameEntry(prior *circuit.Circuit) (*cacheEntry, error) {
 	if prior.NumObs > 64 {
 		return nil, fmt.Errorf("mc: %d observables exceed the 64-bit mask limit", prior.NumObs)
 	}
-	ent, err := e.entryFor(prior)
+	ent, err := e.entryFor(prior, prior)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +182,7 @@ func SampleChunks(ctx context.Context, spec Spec, visit func(sim.BatchResult) er
 	if err != nil {
 		return err
 	}
-	var fs *sim.FrameSimulator
+	fs := sim.Compile(spec.Circuit).NewSimulator(nil)
 	for i := 0; i < st.numChunks; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -189,11 +191,7 @@ func SampleChunks(ctx context.Context, spec Spec, visit func(sim.BatchResult) er
 		if rem := spec.Shots - i*ChunkShots; rem < n {
 			n = rem
 		}
-		if fs == nil {
-			fs = sim.NewFrameSimulator(spec.Circuit, st.seeds[i])
-		} else {
-			fs.Reset(st.seeds[i])
-		}
+		fs.Reset(st.seeds[i])
 		var verr error
 		fs.SampleWhile(n, func(b sim.BatchResult) bool {
 			if cerr := ctx.Err(); cerr != nil {

@@ -12,15 +12,15 @@
 //
 // Shots are packed 64 per machine word and LaneWords words per Lane, so one
 // pass over the circuit advances LaneShots (256) Monte-Carlo trajectories.
-// The circuit is compiled once, at construction, into two flat closure
-// lists: a draw program that consumes randomness one 64-shot word at a time
-// (run word-major, so the RNG stream is bit-identical to the old 64-wide
-// simulator's batch-sequential order), and an apply program whose steps
-// each advance a whole lane. Ticks and zero-probability noise compile to
-// nothing, per-instruction constants (measurement offsets, log(1-p), the
-// first-gap cut) are resolved at compile time, and per-instruction
-// dispatch overhead amortizes over 4× more shots than the single-word
-// version.
+// Compile lowers a circuit once into an immutable Program: a flat table of
+// ops, run by one switch with each op advancing a whole lane, and a table
+// of draws that consume randomness one 64-shot word at a time (run
+// word-major, so the RNG stream is bit-identical to the old 64-wide
+// simulator's batch-sequential order). Ticks and zero-probability noise
+// compile to nothing, and per-instruction constants (measurement offsets,
+// log(1-p), the first-gap cut) are resolved at compile time. A Program
+// holds no per-shot state, so simulators on any number of goroutines can
+// share one.
 package sim
 
 import (
@@ -45,33 +45,67 @@ const (
 // or frame component.
 type Lane [LaneWords]uint64
 
+// Program is a circuit compiled for frame sampling. It is immutable once
+// Compile returns, so one Program serves any number of simulators on any
+// number of goroutines.
+type Program struct {
+	// ops holds one op per state-affecting instruction, in circuit order,
+	// each advancing a full lane. Ticks and zero-probability pure-noise
+	// instructions compile to nothing (they neither touch frames nor
+	// consume randomness), so skipping them preserves the RNG stream
+	// bit-for-bit.
+	ops []op
+
+	// draws holds one draw per randomness-consuming instruction, in circuit
+	// order. runBatch runs them once per active word (word-major),
+	// reproducing exactly the randomness order of a 64-shot-per-pass
+	// simulator running the batch's words as consecutive batches.
+	draws []draw
+
+	slots int // noise slots drawn per batch, in Lanes
+	width int // most targets of any instruction
+
+	qubits, meas, dets, obs int // the circuit's lane counts
+}
+
+// op is one compiled instruction.
+type op struct {
+	code    circuit.OpCode
+	targets []int // qubits, shared with the circuit's instruction
+	recs    []int // record indices of a detector or observable, shared likewise
+	index   int   // record base of M/MX; detector or observable index
+	// x and z are the first noise slots of the masks that enter the X and
+	// Z parts of the frame, one Lane per target, or -1 for none. The
+	// readout flips of M sit in x and those of MX in z: the part each
+	// measurement reads.
+	x, z int
+}
+
+// draw fills word w of one instruction's noise slots. A depolarizing
+// channel writes n X masks from slot and then n Z masks; every other
+// channel writes n bernoulli masks from slot.
+type draw struct {
+	code circuit.OpCode
+	ch   channel
+	slot int
+	n    int // the instruction's target count
+}
+
 // FrameSimulator samples detector and observable flip bits for batches of
-// shots of a fixed circuit. It is not safe for concurrent use; internal/mc
-// pools one instance per worker. Reset rebinds a simulator to a new
-// randomness stream so pooled instances can be reused across chunks without
-// reallocating frame or scratch storage.
+// shots of one Program. It owns only its lanes, its noise buffer and its
+// RNG, and is not safe for concurrent use; internal/mc pools simulators
+// over each cached circuit's Program, one per worker. Reset rebinds a
+// simulator to a new randomness stream so pooled instances can be reused
+// across chunks without reallocating frame or scratch storage.
 type FrameSimulator struct {
-	c   *circuit.Circuit
-	rng *rng.RNG
-
-	// draws is the compiled noise program: one entry per randomness-consuming
-	// instruction, in circuit order. Each call draws the instruction's masks
-	// for a single 64-shot word w into the noise buffer. runBatch runs the
-	// draw program once per active word (word-major), reproducing exactly the
-	// randomness order of a 64-shot-per-pass simulator running the batch's
-	// words as consecutive batches.
-	draws []drawStep
-
-	// prog is the compiled apply program: one step per state-affecting
-	// instruction, in circuit order, each advancing a full lane. Ticks and
-	// zero-probability pure-noise instructions compile to nothing (they
-	// neither touch frames nor consume randomness), so skipping them
-	// preserves the RNG stream bit-for-bit.
-	prog []step
+	prog *Program
+	rng  *rng.RNG
 
 	// noise holds the masks drawn for the current batch, one Lane per
-	// compile-time-assigned slot. Words ≥ the batch's active word count keep
-	// stale bits; they only feed shot columns that are masked away.
+	// compile-time-assigned slot, then width Lanes that stay zero: the
+	// masks of a part an op has no noise in. Words ≥ the batch's active
+	// word count keep stale bits; they only feed shot columns that are
+	// masked away.
 	noise []Lane
 
 	// Per-qubit frame bits for the current batch.
@@ -82,40 +116,34 @@ type FrameSimulator struct {
 	recs []Lane
 
 	// Detector/observable lanes for the current batch, reused across
-	// batches and across Sample calls (previously allocated per call).
+	// batches and across Sample calls.
 	det []Lane
 	obs []Lane
 }
 
-// step advances one compiled instruction on the current batch's lanes.
-type step func(fs *FrameSimulator)
-
-// drawStep draws one instruction's noise masks for 64-shot word w.
-type drawStep func(fs *FrameSimulator, w int)
-
-// NewFrameSimulator returns a simulator for c drawing randomness from r.
+// NewFrameSimulator returns a simulator for c drawing randomness from r. It
+// compiles c; to sample one circuit with several simulators, Compile it
+// once and call NewSimulator on the Program.
 func NewFrameSimulator(c *circuit.Circuit, r *rng.RNG) *FrameSimulator {
-	fs := &FrameSimulator{
-		c: c, rng: r,
-		xf:   make([]Lane, c.NumQubits),
-		zf:   make([]Lane, c.NumQubits),
-		recs: make([]Lane, c.NumMeas),
-		det:  make([]Lane, c.NumDetectors),
-		obs:  make([]Lane, c.NumObs),
-	}
-	var slots int
-	fs.draws, fs.prog, slots = compile(c)
-	fs.noise = make([]Lane, slots)
-	return fs
+	return Compile(c).NewSimulator(r)
 }
 
-// Circuit returns the circuit this simulator was compiled for. Pool
-// implementations use it to match a free simulator to a request.
-func (fs *FrameSimulator) Circuit() *circuit.Circuit { return fs.c }
+// NewSimulator returns a simulator running p and drawing randomness from r.
+func (p *Program) NewSimulator(r *rng.RNG) *FrameSimulator {
+	return &FrameSimulator{
+		prog: p, rng: r,
+		noise: make([]Lane, p.slots+p.width),
+		xf:    make([]Lane, p.qubits),
+		zf:    make([]Lane, p.qubits),
+		recs:  make([]Lane, p.meas),
+		det:   make([]Lane, p.dets),
+		obs:   make([]Lane, p.obs),
+	}
+}
 
-// Reset rebinds the simulator to a new randomness stream. The compiled
-// program and all scratch storage are retained; the next Sample call draws
-// from r exactly as a freshly constructed simulator would.
+// Reset rebinds the simulator to a new randomness stream. The program and
+// all scratch storage are retained; the next Sample call draws from r
+// exactly as a freshly constructed simulator would.
 func (fs *FrameSimulator) Reset(r *rng.RNG) { fs.rng = r }
 
 // BatchResult holds detector and observable flips for one batch of up to
@@ -227,351 +255,264 @@ func denseMask(r *rng.RNG, p float64) uint64 {
 	return mask
 }
 
-// compile lowers c's instruction list into a draw program and an apply
-// program. Each apply step captures its targets and — for measurements —
-// the absolute measurement-record base index; each draw step captures its
-// channel (probability, log(1-p) and first-gap cut) and the noise-buffer
-// slot range it fills. slots is the total noise-buffer size in Lanes.
+// Compile lowers c's instruction list into a Program. Each op keeps its
+// instruction's targets and records and — for measurements — the absolute
+// measurement-record base; each draw keeps its channel (probability,
+// log(1-p) and first-gap cut) and the noise slots it fills. The tables are
+// sized before they are filled, so compiling allocates the same few
+// objects for a circuit of any length.
 //
-// RNG-stream compatibility: for one 64-shot word the draw program consumes
+// RNG-stream compatibility: for one 64-shot word the draws consume
 // randomness in exactly the order and quantity the single-word simulator's
 // fused steps did. The only instructions elided are ticks and pure-noise
-// channels with Arg ≤ 0, neither of which consumes randomness, and noiseless
-// resets/measurements compile to draw-free apply steps (an Arg ≤ 0 bernoulli
-// draw consumed nothing either), so compiled wide and narrow execution are
-// bit-identical for the same seed.
-func compile(c *circuit.Circuit) (draws []drawStep, prog []step, slots int) {
-	prog = make([]step, 0, len(c.Instructions))
+// channels with Arg ≤ 0, neither of which consumes randomness, and
+// noiseless resets/measurements compile to ops without noise slots (an
+// Arg ≤ 0 bernoulli draw consumed nothing either), so compiled wide and
+// narrow execution are bit-identical for the same seed.
+func Compile(c *circuit.Circuit) *Program {
+	p := &Program{qubits: c.NumQubits, meas: c.NumMeas, dets: c.NumDetectors, obs: c.NumObs}
+	draws := 0
+	for i := range c.Instructions {
+		if drawsNoise(&c.Instructions[i]) {
+			draws++
+		}
+	}
+	p.ops = make([]op, 0, len(c.Instructions))
+	p.draws = make([]draw, 0, draws)
 	meas := 0
-	for _, in := range c.Instructions {
-		targets := in.Targets
-		arg := in.Arg
-		ch := newChannel(arg)
-		index := in.Index
-		recsIdx := in.Recs
+	for i := range c.Instructions {
+		in := &c.Instructions[i]
+		p.width = max(p.width, len(in.Targets))
+		o := op{code: in.Op, targets: in.Targets, recs: in.Recs, index: in.Index, x: -1, z: -1}
 		switch in.Op {
-		case circuit.OpH:
-			prog = append(prog, func(fs *FrameSimulator) {
-				for _, q := range targets {
-					fs.xf[q], fs.zf[q] = fs.zf[q], fs.xf[q]
-				}
-			})
-		case circuit.OpS:
-			// S maps X -> Y: an X frame gains a Z component.
-			prog = append(prog, func(fs *FrameSimulator) {
-				for _, q := range targets {
-					x, z := &fs.xf[q], &fs.zf[q]
-					for w := 0; w < LaneWords; w++ {
-						z[w] ^= x[w]
-					}
-				}
-			})
-		case circuit.OpCX:
-			prog = append(prog, func(fs *FrameSimulator) {
-				for i := 0; i < len(targets); i += 2 {
-					c, t := targets[i], targets[i+1]
-					xc, xt := &fs.xf[c], &fs.xf[t]
-					zc, zt := &fs.zf[c], &fs.zf[t]
-					for w := 0; w < LaneWords; w++ {
-						xt[w] ^= xc[w] // X on control propagates to target
-						zc[w] ^= zt[w] // Z on target propagates to control
-					}
-				}
-			})
-		case circuit.OpCZ:
-			prog = append(prog, func(fs *FrameSimulator) {
-				for i := 0; i < len(targets); i += 2 {
-					a, b := targets[i], targets[i+1]
-					xa, xb := &fs.xf[a], &fs.xf[b]
-					za, zb := &fs.zf[a], &fs.zf[b]
-					for w := 0; w < LaneWords; w++ {
-						za[w] ^= xb[w]
-						zb[w] ^= xa[w]
-					}
-				}
-			})
-		case circuit.OpSwap:
-			prog = append(prog, func(fs *FrameSimulator) {
-				for i := 0; i < len(targets); i += 2 {
-					a, b := targets[i], targets[i+1]
-					fs.xf[a], fs.xf[b] = fs.xf[b], fs.xf[a]
-					fs.zf[a], fs.zf[b] = fs.zf[b], fs.zf[a]
-				}
-			})
-		case circuit.OpReset:
-			// Reset discards the frame; a noisy reset leaves an X error
-			// (wrong computational-basis state) with probability Arg.
-			if arg <= 0 {
-				prog = append(prog, func(fs *FrameSimulator) {
-					for _, q := range targets {
-						fs.xf[q] = Lane{}
-						fs.zf[q] = Lane{}
-					}
-				})
-				continue
-			}
-			base := slots
-			slots += len(targets)
-			draws = append(draws, maskDraw(base, len(targets), ch))
-			prog = append(prog, func(fs *FrameSimulator) {
-				for j, q := range targets {
-					fs.xf[q] = fs.noise[base+j]
-					fs.zf[q] = Lane{}
-				}
-			})
-		case circuit.OpResetX:
-			if arg <= 0 {
-				prog = append(prog, func(fs *FrameSimulator) {
-					for _, q := range targets {
-						fs.xf[q] = Lane{}
-						fs.zf[q] = Lane{}
-					}
-				})
-				continue
-			}
-			base := slots
-			slots += len(targets)
-			draws = append(draws, maskDraw(base, len(targets), ch))
-			prog = append(prog, func(fs *FrameSimulator) {
-				for j, q := range targets {
-					fs.zf[q] = fs.noise[base+j]
-					fs.xf[q] = Lane{}
-				}
-			})
-		case circuit.OpM:
-			// An X or Y frame flips a Z-basis outcome; readout error adds an
-			// independent classical flip. The post-measurement Z frame is a
-			// stabilizer of the collapsed state, so it is cleared.
-			base := meas
-			meas += len(targets)
-			if arg <= 0 {
-				prog = append(prog, func(fs *FrameSimulator) {
-					for j, q := range targets {
-						fs.recs[base+j] = fs.xf[q]
-						fs.zf[q] = Lane{}
-					}
-				})
-				continue
-			}
-			nbase := slots
-			slots += len(targets)
-			draws = append(draws, maskDraw(nbase, len(targets), ch))
-			prog = append(prog, func(fs *FrameSimulator) {
-				for j, q := range targets {
-					r, x, m := &fs.recs[base+j], &fs.xf[q], &fs.noise[nbase+j]
-					for w := 0; w < LaneWords; w++ {
-						r[w] = x[w] ^ m[w]
-					}
-					fs.zf[q] = Lane{}
-				}
-			})
-		case circuit.OpMX:
-			base := meas
-			meas += len(targets)
-			if arg <= 0 {
-				prog = append(prog, func(fs *FrameSimulator) {
-					for j, q := range targets {
-						fs.recs[base+j] = fs.zf[q]
-						fs.xf[q] = Lane{}
-					}
-				})
-				continue
-			}
-			nbase := slots
-			slots += len(targets)
-			draws = append(draws, maskDraw(nbase, len(targets), ch))
-			prog = append(prog, func(fs *FrameSimulator) {
-				for j, q := range targets {
-					r, z, m := &fs.recs[base+j], &fs.zf[q], &fs.noise[nbase+j]
-					for w := 0; w < LaneWords; w++ {
-						r[w] = z[w] ^ m[w]
-					}
-					fs.xf[q] = Lane{}
-				}
-			})
-		case circuit.OpXError:
-			if arg <= 0 {
+		case circuit.OpTick:
+			continue // no state effect, no randomness
+		case circuit.OpM, circuit.OpMX:
+			o.index = meas
+			meas += len(in.Targets)
+		case circuit.OpXError, circuit.OpYError, circuit.OpZError, circuit.OpDepolarize1, circuit.OpDepolarize2:
+			if in.Arg <= 0 {
 				continue // draws nothing and flips nothing
 			}
-			base := slots
-			slots += len(targets)
-			draws = append(draws, maskDraw(base, len(targets), ch))
-			prog = append(prog, func(fs *FrameSimulator) {
-				for j, q := range targets {
-					x, m := &fs.xf[q], &fs.noise[base+j]
-					for w := 0; w < LaneWords; w++ {
-						x[w] ^= m[w]
-					}
-				}
-			})
-		case circuit.OpZError:
-			if arg <= 0 {
-				continue
-			}
-			base := slots
-			slots += len(targets)
-			draws = append(draws, maskDraw(base, len(targets), ch))
-			prog = append(prog, func(fs *FrameSimulator) {
-				for j, q := range targets {
-					z, m := &fs.zf[q], &fs.noise[base+j]
-					for w := 0; w < LaneWords; w++ {
-						z[w] ^= m[w]
-					}
-				}
-			})
-		case circuit.OpYError:
-			if arg <= 0 {
-				continue
-			}
-			base := slots
-			slots += len(targets)
-			draws = append(draws, maskDraw(base, len(targets), ch))
-			prog = append(prog, func(fs *FrameSimulator) {
-				for j, q := range targets {
-					x, z, m := &fs.xf[q], &fs.zf[q], &fs.noise[base+j]
-					for w := 0; w < LaneWords; w++ {
-						x[w] ^= m[w]
-						z[w] ^= m[w]
-					}
-				}
-			})
-		case circuit.OpDepolarize1:
-			if arg <= 0 {
-				continue
-			}
-			base := slots
-			slots += 2 * len(targets) // X mask + Z mask per target
-			draws = append(draws, func(fs *FrameSimulator, w int) {
-				for j := range targets {
-					m := ch.mask(fs.rng)
-					// For each erring shot choose X, Y or Z uniformly.
-					var xm, zm uint64
-					for v := m; v != 0; v &= v - 1 {
-						bit := v & -v
-						switch fs.rng.Intn(3) {
-						case 0:
-							xm ^= bit
-						case 1:
-							xm ^= bit
-							zm ^= bit
-						case 2:
-							zm ^= bit
-						}
-					}
-					fs.noise[base+2*j][w] = xm
-					fs.noise[base+2*j+1][w] = zm
-				}
-			})
-			prog = append(prog, func(fs *FrameSimulator) {
-				for j, q := range targets {
-					x, z := &fs.xf[q], &fs.zf[q]
-					xm, zm := &fs.noise[base+2*j], &fs.noise[base+2*j+1]
-					for w := 0; w < LaneWords; w++ {
-						x[w] ^= xm[w]
-						z[w] ^= zm[w]
-					}
-				}
-			})
-		case circuit.OpDepolarize2:
-			if arg <= 0 {
-				continue
-			}
-			base := slots
-			slots += 2 * len(targets) // X+Z masks for both qubits per pair
-			draws = append(draws, func(fs *FrameSimulator, w int) {
-				for i := 0; i < len(targets); i += 2 {
-					m := ch.mask(fs.rng)
-					var xa, za, xb, zb uint64
-					for v := m; v != 0; v &= v - 1 {
-						bit := v & -v
-						// Choose one of the 15 non-identity two-qubit Paulis.
-						k := fs.rng.Intn(15) + 1 // 1..15, 2 bits per qubit
-						pa, pb := k&3, k>>2
-						if pa&2 != 0 {
-							xa ^= bit
-						}
-						if pa&1 != 0 {
-							za ^= bit
-						}
-						if pb&2 != 0 {
-							xb ^= bit
-						}
-						if pb&1 != 0 {
-							zb ^= bit
-						}
-					}
-					s := base + 2*i
-					fs.noise[s][w] = xa
-					fs.noise[s+1][w] = za
-					fs.noise[s+2][w] = xb
-					fs.noise[s+3][w] = zb
-				}
-			})
-			prog = append(prog, func(fs *FrameSimulator) {
-				for i := 0; i < len(targets); i += 2 {
-					a, b := targets[i], targets[i+1]
-					s := base + 2*i
-					xa, za := &fs.xf[a], &fs.zf[a]
-					xb, zb := &fs.xf[b], &fs.zf[b]
-					ma, mb := &fs.noise[s], &fs.noise[s+1]
-					mc, md := &fs.noise[s+2], &fs.noise[s+3]
-					for w := 0; w < LaneWords; w++ {
-						xa[w] ^= ma[w]
-						za[w] ^= mb[w]
-						xb[w] ^= mc[w]
-						zb[w] ^= md[w]
-					}
-				}
-			})
-		case circuit.OpDetector:
-			prog = append(prog, func(fs *FrameSimulator) {
-				var v Lane
-				for _, rIdx := range recsIdx {
-					r := &fs.recs[rIdx]
-					for w := 0; w < LaneWords; w++ {
-						v[w] ^= r[w]
-					}
-				}
-				fs.det[index] = v
-			})
-		case circuit.OpObservable:
-			prog = append(prog, func(fs *FrameSimulator) {
-				var v Lane
-				for _, rIdx := range recsIdx {
-					r := &fs.recs[rIdx]
-					for w := 0; w < LaneWords; w++ {
-						v[w] ^= r[w]
-					}
-				}
-				o := &fs.obs[index]
-				for w := 0; w < LaneWords; w++ {
-					o[w] ^= v[w]
-				}
-			})
-		case circuit.OpTick:
-			// no state effect, no randomness: compiles to nothing
 		}
+		if drawsNoise(in) {
+			o.x, o.z = p.addDraw(in)
+		}
+		p.ops = append(p.ops, o)
 	}
-	return draws, prog, slots
+	return p
 }
 
-// maskDraw returns a draw step filling n consecutive noise slots starting at
-// base with plain bernoulli masks — the shared shape of every noise channel
-// that needs no per-bit Pauli choice.
-func maskDraw(base, n int, ch channel) drawStep {
-	return func(fs *FrameSimulator, w int) {
-		for j := 0; j < n; j++ {
-			fs.noise[base+j][w] = ch.mask(fs.rng)
+// drawsNoise reports whether in consumes randomness: a reset, measurement
+// or noise channel whose Arg is not ≤ 0.
+func drawsNoise(in *circuit.Instruction) bool {
+	switch in.Op {
+	case circuit.OpReset, circuit.OpResetX, circuit.OpM, circuit.OpMX,
+		circuit.OpXError, circuit.OpYError, circuit.OpZError, circuit.OpDepolarize1, circuit.OpDepolarize2:
+		return !(in.Arg <= 0)
+	}
+	return false
+}
+
+// addDraw appends in's draw, assigns its noise slots and returns the op's
+// X and Z slots.
+func (p *Program) addDraw(in *circuit.Instruction) (x, z int) {
+	n := len(in.Targets)
+	slot := p.slots
+	p.draws = append(p.draws, draw{code: in.Op, ch: newChannel(in.Arg), slot: slot, n: n})
+	p.slots += n
+	switch in.Op {
+	case circuit.OpResetX, circuit.OpMX, circuit.OpZError:
+		return -1, slot
+	case circuit.OpYError:
+		return slot, slot
+	case circuit.OpDepolarize1, circuit.OpDepolarize2:
+		p.slots += n
+		return slot, slot + n
+	}
+	return slot, -1 // R, M, X_ERROR
+}
+
+// drawWord runs the draws for 64-shot word w, writing word w of every
+// noise slot.
+func (fs *FrameSimulator) drawWord(w int) {
+	r, noise := fs.rng, fs.noise
+	for i := range fs.prog.draws {
+		d := &fs.prog.draws[i]
+		x := noise[d.slot : d.slot+d.n]
+		switch d.code {
+		case circuit.OpDepolarize1:
+			z := noise[d.slot+d.n : d.slot+2*d.n]
+			for j := range x {
+				m := d.ch.mask(r)
+				// For each erring shot choose X, Y or Z uniformly.
+				var xm, zm uint64
+				for v := m; v != 0; v &= v - 1 {
+					bit := v & -v
+					switch r.Intn(3) {
+					case 0:
+						xm ^= bit
+					case 1:
+						xm ^= bit
+						zm ^= bit
+					case 2:
+						zm ^= bit
+					}
+				}
+				x[j][w], z[j][w] = xm, zm
+			}
+		case circuit.OpDepolarize2:
+			z := noise[d.slot+d.n : d.slot+2*d.n]
+			for j := 0; j < len(x); j += 2 {
+				m := d.ch.mask(r)
+				var xa, za, xb, zb uint64
+				for v := m; v != 0; v &= v - 1 {
+					bit := v & -v
+					// Choose one of the 15 non-identity two-qubit Paulis.
+					k := r.Intn(15) + 1 // 1..15, 2 bits per qubit
+					pa, pb := k&3, k>>2
+					if pa&2 != 0 {
+						xa ^= bit
+					}
+					if pa&1 != 0 {
+						za ^= bit
+					}
+					if pb&2 != 0 {
+						xb ^= bit
+					}
+					if pb&1 != 0 {
+						zb ^= bit
+					}
+				}
+				x[j][w], z[j][w] = xa, za
+				x[j+1][w], z[j+1][w] = xb, zb
+			}
+		default:
+			for j := range x {
+				x[j][w] = d.ch.mask(r)
+			}
 		}
 	}
+}
+
+// apply advances the current batch's lanes through the ops.
+func (fs *FrameSimulator) apply() {
+	xf, zf := fs.xf, fs.zf
+	for i := range fs.prog.ops {
+		o := &fs.prog.ops[i]
+		switch o.code {
+		case circuit.OpH:
+			for _, q := range o.targets {
+				xf[q], zf[q] = zf[q], xf[q]
+			}
+		case circuit.OpS:
+			// S maps X -> Y: an X frame gains a Z component.
+			for _, q := range o.targets {
+				xorLane(&zf[q], &xf[q])
+			}
+		case circuit.OpCX:
+			for j := 0; j < len(o.targets); j += 2 {
+				c, t := o.targets[j], o.targets[j+1]
+				xc, xt, zc, zt := &xf[c], &xf[t], &zf[c], &zf[t]
+				for w := 0; w < LaneWords; w++ {
+					xt[w] ^= xc[w] // X on control propagates to target
+					zc[w] ^= zt[w] // Z on target propagates to control
+				}
+			}
+		case circuit.OpCZ:
+			for j := 0; j < len(o.targets); j += 2 {
+				a, b := o.targets[j], o.targets[j+1]
+				xa, xb, za, zb := &xf[a], &xf[b], &zf[a], &zf[b]
+				for w := 0; w < LaneWords; w++ {
+					za[w] ^= xb[w]
+					zb[w] ^= xa[w]
+				}
+			}
+		case circuit.OpSwap:
+			for j := 0; j < len(o.targets); j += 2 {
+				a, b := o.targets[j], o.targets[j+1]
+				xf[a], xf[b] = xf[b], xf[a]
+				zf[a], zf[b] = zf[b], zf[a]
+			}
+		case circuit.OpReset, circuit.OpResetX:
+			// Reset discards the frame; a noisy reset leaves an error in the
+			// part its basis flips (X after |0>, Z after |+>).
+			own, other, m := fs.basis(o)
+			for j, q := range o.targets {
+				own[q], other[q] = m[j], Lane{}
+			}
+		case circuit.OpM, circuit.OpMX:
+			// An error in the part a measurement reads (X for M, Z for MX)
+			// flips its outcome; readout error adds an independent classical
+			// flip. The other part is a stabilizer of the collapsed state, so
+			// it is cleared.
+			own, other, m := fs.basis(o)
+			for j, q := range o.targets {
+				r, f, e := &fs.recs[o.index+j], &own[q], &m[j]
+				for w := 0; w < LaneWords; w++ {
+					r[w] = f[w] ^ e[w]
+				}
+				other[q] = Lane{}
+			}
+		case circuit.OpXError, circuit.OpYError, circuit.OpZError, circuit.OpDepolarize1, circuit.OpDepolarize2:
+			mx, mz := fs.masks(o.x), fs.masks(o.z)
+			for j, q := range o.targets {
+				x, z, ex, ez := &xf[q], &zf[q], &mx[j], &mz[j]
+				for w := 0; w < LaneWords; w++ {
+					x[w] ^= ex[w]
+					z[w] ^= ez[w]
+				}
+			}
+		case circuit.OpDetector:
+			fs.det[o.index] = fs.parity(o.recs)
+		case circuit.OpObservable:
+			v := fs.parity(o.recs)
+			xorLane(&fs.obs[o.index], &v)
+		}
+	}
+}
+
+// basis returns the frame part a reset or measurement acts on (X in the Z
+// basis of R and M, Z in the X basis of RX and MX), the other part, and the
+// op's noise masks for the first.
+func (fs *FrameSimulator) basis(o *op) (own, other, masks []Lane) {
+	if o.code == circuit.OpResetX || o.code == circuit.OpMX {
+		return fs.zf, fs.xf, fs.masks(o.z)
+	}
+	return fs.xf, fs.zf, fs.masks(o.x)
+}
+
+// masks returns the noise lanes from slot on, or lanes that stay zero for
+// a slot of -1, so an op XORs nothing into a part it has no noise in.
+func (fs *FrameSimulator) masks(slot int) []Lane {
+	if slot < 0 {
+		return fs.noise[fs.prog.slots:]
+	}
+	return fs.noise[slot:]
+}
+
+// xorLane XORs src into dst.
+func xorLane(dst, src *Lane) {
+	for w := 0; w < LaneWords; w++ {
+		dst[w] ^= src[w]
+	}
+}
+
+// parity returns the XOR of the record lanes at idx.
+func (fs *FrameSimulator) parity(idx []int) Lane {
+	var v Lane
+	for _, i := range idx {
+		xorLane(&v, &fs.recs[i])
+	}
+	return v
 }
 
 // runBatch executes one pass with the given number of active 64-shot words,
-// filling fs.det/fs.obs flip lanes. The draw program runs word-major (all
+// filling fs.det/fs.obs flip lanes. The draws run word-major (all
 // instructions for word 0, then word 1, …) so randomness is consumed in the
-// same order as running each word as its own 64-shot batch; the apply
-// program then advances all LaneWords words per step. Lane words ≥ words
-// compute on stale noise bits and hold garbage until the caller masks them.
+// same order as running each word as its own 64-shot batch; the ops then
+// advance all LaneWords words at once. Lane words ≥ words compute on stale
+// noise bits and hold garbage until the caller masks them.
 func (fs *FrameSimulator) runBatch(words int) {
 	clear(fs.xf)
 	clear(fs.zf)
@@ -579,13 +520,9 @@ func (fs *FrameSimulator) runBatch(words int) {
 	clear(fs.det)
 	clear(fs.obs)
 	for w := 0; w < words; w++ {
-		for _, d := range fs.draws {
-			d(fs, w)
-		}
+		fs.drawWord(w)
 	}
-	for _, st := range fs.prog {
-		st(fs)
-	}
+	fs.apply()
 }
 
 // Sample runs shots Monte-Carlo trajectories and invokes visit once per
@@ -650,7 +587,7 @@ func maskTail(lanes []Lane, n int) {
 // This measures the *undecoded* physical failure rate and is mostly useful
 // for tests; real experiments decode first (see internal/mc.Engine).
 func (fs *FrameSimulator) CountObservableFlips(shots int) []int {
-	counts := make([]int, fs.c.NumObs)
+	counts := make([]int, len(fs.obs))
 	fs.Sample(shots, func(b BatchResult) {
 		for i := range b.Observables {
 			l := &b.Observables[i]
