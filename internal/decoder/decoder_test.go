@@ -91,3 +91,23 @@ func TestNewUnionFindAllocsFlat(t *testing.T) {
 		t.Errorf("NewUnionFind allocated %v times on the d=5 graph and %v on the d=13 graph, want equal", allocs[5], allocs[13])
 	}
 }
+
+// TestBuildGraphAllocsFlat: BuildGraph sizes every array before it fills
+// it, carves the nodes' adjacency lists from one slab and the rounds' node
+// lists from another, and finds parallel mechanisms without a map, so it
+// allocates as often for a d=13 model as for a d=5 one. The calibration
+// loop builds a graph for every deformed circuit it sees.
+func TestBuildGraphAllocsFlat(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, d := range []int{5, 13} {
+		_, _, _, _, m := memCircuit(t, lattice.Square, d, d, 1e-3)
+		allocs[d] = testing.AllocsPerRun(20, func() {
+			if _, err := BuildGraph(m); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[5] != allocs[13] {
+		t.Errorf("BuildGraph allocated %v times on the d=5 model and %v on the d=13 model, want equal", allocs[5], allocs[13])
+	}
+}

@@ -15,21 +15,23 @@ import (
 type cacheKey struct{ circuit, prior [16]byte }
 
 // cacheEntry holds everything derivable from one (sampled circuit, prior)
-// pair: the prior's DEM, the decoding graph and a pool of reusable decoder
-// instances per kind (decoders carry scratch state, so one instance serves
-// one worker at a time; pooling avoids rebuilding their adjacency scans
-// every chunk), and the sampled circuit's compiled sim.Program with a pool
-// of frame simulators over it. The program is compiled on the first
-// sample, so entries that only decode frames never compile one; every
-// worker then shares it, and a simulator carries only lanes, noise buffer
-// and RNG.
+// pair: the decoding graph built from the prior's DEM, a pool of reusable
+// decoder instances per kind (decoders carry scratch state, so one
+// instance serves one worker at a time; pooling avoids rebuilding their
+// adjacency scans every chunk), and the sampled circuit's compiled
+// sim.Program with a pool of frame simulators over it. The DEM is dropped
+// once the graph is built and the program keeps no part of the circuit, so
+// beyond its pools, which the garbage collector empties, an entry retains
+// its graph and its program; bytes counts those two. Every worker shares
+// the program, and a simulator carries only lanes, noise buffer and RNG.
 type cacheEntry struct {
-	model *dem.Model
 	graph *decoder.Graph
 	pools [2]sync.Pool // indexed by decoder.DecoderKind
 
-	program func() *sim.Program
-	sims    sync.Pool // *sim.FrameSimulator over program()
+	program *sim.Program
+	sims    sync.Pool // *sim.FrameSimulator over program
+
+	bytes int // retained by graph and program, from their capacities
 }
 
 func newCacheEntry(c, prior *circuit.Circuit) (*cacheEntry, error) {
@@ -41,13 +43,13 @@ func newCacheEntry(c, prior *circuit.Circuit) (*cacheEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mc: building graph: %w", err)
 	}
-	ent := &cacheEntry{model: model, graph: g}
+	p := sim.Compile(c)
+	ent := &cacheEntry{graph: g, program: p, bytes: g.Bytes() + p.Bytes()}
 	for kind := range ent.pools {
 		k := decoder.DecoderKind(kind)
 		ent.pools[kind].New = func() interface{} { return decoder.New(k, g) }
 	}
-	ent.program = sync.OnceValue(func() *sim.Program { return sim.Compile(c) })
-	ent.sims.New = func() interface{} { return ent.program().NewSimulator(nil) }
+	ent.sims.New = func() interface{} { return p.NewSimulator(nil) }
 	return ent, nil
 }
 
@@ -83,10 +85,12 @@ func (e *Engine) entryFor(c, prior *circuit.Circuit) (*cacheEntry, error) {
 	e.mu.Lock()
 	if _, ok := e.cache[key]; !ok {
 		e.cache[key] = ent
+		e.bytes += ent.bytes
 		e.order = append(e.order, key)
 		for len(e.cache) > e.maxEntry {
 			oldest := e.order[0]
 			e.order = e.order[1:]
+			e.bytes -= e.cache[oldest].bytes
 			delete(e.cache, oldest)
 		}
 	}

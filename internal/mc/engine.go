@@ -152,6 +152,7 @@ type Engine struct {
 	cache    map[cacheKey]*cacheEntry
 	order    []cacheKey // LRU order, most recent last
 	maxEntry int
+	bytes    int // sum of the cached entries' bytes
 	hits     uint64
 	misses   uint64
 }
@@ -170,6 +171,7 @@ type engineMetrics struct {
 	cacheHits    *obs.Gauge     // mc.cache.hits: cumulative DEM/graph cache hits
 	cacheMisses  *obs.Gauge     // mc.cache.misses: cumulative cache misses
 	cacheEntries *obs.Gauge     // mc.cache.entries: current cache population
+	cacheBytes   *obs.Gauge     // mc.cache.bytes: bytes the cached graphs and programs retain
 	latency      *obs.Histogram // mc.decode.latency: per-chunk wall ns
 }
 
@@ -188,6 +190,7 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		cacheHits:    r.Gauge("mc.cache.hits"),
 		cacheMisses:  r.Gauge("mc.cache.misses"),
 		cacheEntries: r.Gauge("mc.cache.entries"),
+		cacheBytes:   r.Gauge("mc.cache.bytes"),
 		latency:      r.Histogram("mc.decode.latency"),
 	}
 }
@@ -228,10 +231,13 @@ func (e *Engine) CacheStats() (hits, misses uint64, entries int) {
 
 // publishCacheStats mirrors the cache counters into the gauge metrics.
 func (e *Engine) publishCacheStats() {
-	hits, misses, entries := e.CacheStats()
+	e.mu.Lock()
+	hits, misses, entries, bytes := e.hits, e.misses, len(e.cache), e.bytes
+	e.mu.Unlock()
 	e.metrics.cacheHits.Set(float64(hits))
 	e.metrics.cacheMisses.Set(float64(misses))
 	e.metrics.cacheEntries.Set(float64(entries))
+	e.metrics.cacheBytes.Set(float64(bytes))
 }
 
 // evalState is one spec's complete scheduling state inside the shared chunk

@@ -34,9 +34,7 @@ type FrameDecoder struct {
 // FrameDecoder returns a whole-shot per-frame decoder over the (cached)
 // decoding graph of prior. It shares the cache entry of an Evaluate that
 // samples and decodes prior itself, so a live stream and an in-process
-// evaluation of the same circuit share one graph and one decoder pool. A
-// FrameDecoder never samples, so it never compiles the entry's sampler
-// program.
+// evaluation of the same circuit share one graph and one decoder pool.
 func (e *Engine) FrameDecoder(prior *circuit.Circuit, kind decoder.DecoderKind) (*FrameDecoder, error) {
 	ent, err := e.frameEntry(prior)
 	if err != nil {

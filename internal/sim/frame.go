@@ -18,9 +18,10 @@
 // word-major, so the RNG stream is bit-identical to the old 64-wide
 // simulator's batch-sequential order). Ticks and zero-probability noise
 // compile to nothing, and per-instruction constants (measurement offsets,
-// log(1-p), the first-gap cut) are resolved at compile time. A Program
-// holds no per-shot state, so simulators on any number of goroutines can
-// share one.
+// log(1-p), the first-gap cut) are resolved at compile time. Every op's
+// targets or records are copied into one int32 slab the Program owns, so
+// a Program keeps no part of its circuit alive. A Program holds no
+// per-shot state, so simulators on any number of goroutines can share one.
 package sim
 
 import (
@@ -28,6 +29,7 @@ import (
 	"caliqec/internal/rng"
 	"math"
 	"math/bits"
+	"unsafe"
 )
 
 // Shot-lane geometry. Within a batch, shot s lives at bit s%64 of word
@@ -62,23 +64,27 @@ type Program struct {
 	// simulator running the batch's words as consecutive batches.
 	draws []draw
 
+	// args holds the ops' qubit targets and detector and observable record
+	// indices back to back, in op order; each op's args is its window.
+	args []int32
+
 	slots int // noise slots drawn per batch, in Lanes
 	width int // most targets of any instruction
 
 	qubits, meas, dets, obs int // the circuit's lane counts
 }
 
-// op is one compiled instruction.
+// op is one compiled instruction: 40 bytes. Its args window stays a slice
+// because re-slicing the slab from offsets on every op measured slower.
 type op struct {
-	code    circuit.OpCode
-	targets []int // qubits, shared with the circuit's instruction
-	recs    []int // record indices of a detector or observable, shared likewise
-	index   int   // record base of M/MX; detector or observable index
+	args  []int32 // qubits, or the records of a detector or observable
+	index int32   // record base of M/MX; detector or observable index
 	// x and z are the first noise slots of the masks that enter the X and
 	// Z parts of the frame, one Lane per target, or -1 for none. The
 	// readout flips of M sit in x and those of MX in z: the part each
 	// measurement reads.
-	x, z int
+	x, z int32
+	code circuit.OpCode
 }
 
 // draw fills word w of one instruction's noise slots. A depolarizing
@@ -87,8 +93,8 @@ type op struct {
 type draw struct {
 	code circuit.OpCode
 	ch   channel
-	slot int
-	n    int // the instruction's target count
+	slot int32
+	n    int32 // the instruction's target count
 }
 
 // FrameSimulator samples detector and observable flip bits for batches of
@@ -255,12 +261,15 @@ func denseMask(r *rng.RNG, p float64) uint64 {
 	return mask
 }
 
-// Compile lowers c's instruction list into a Program. Each op keeps its
-// instruction's targets and records and — for measurements — the absolute
+// Compile lowers c's instruction list into a Program. Each op copies its
+// instruction's targets (a detector's or observable's records) into the
+// Program's slab and keeps — for measurements — the absolute
 // measurement-record base; each draw keeps its channel (probability,
-// log(1-p) and first-gap cut) and the noise slots it fills. The tables are
-// sized before they are filled, so compiling allocates the same few
-// objects for a circuit of any length.
+// log(1-p) and first-gap cut) and the noise slots it fills. The tables and
+// the slab are sized exactly before they are filled, so compiling
+// allocates the same four objects for a circuit of any length. Indices are
+// kept as int32: 2^31 qubits, records or noise slots would take 64 GiB of
+// lanes per simulator.
 //
 // RNG-stream compatibility: for one 64-shot word the draws consume
 // randomness in exactly the order and quantity the single-word simulator's
@@ -271,29 +280,36 @@ func denseMask(r *rng.RNG, p float64) uint64 {
 // narrow execution are bit-identical for the same seed.
 func Compile(c *circuit.Circuit) *Program {
 	p := &Program{qubits: c.NumQubits, meas: c.NumMeas, dets: c.NumDetectors, obs: c.NumObs}
-	draws := 0
+	ops, draws, args := 0, 0, 0
 	for i := range c.Instructions {
-		if drawsNoise(&c.Instructions[i]) {
+		in := &c.Instructions[i]
+		if elided(in) {
+			continue
+		}
+		ops++
+		args += len(argsOf(in))
+		if drawsNoise(in) {
 			draws++
 		}
 	}
-	p.ops = make([]op, 0, len(c.Instructions))
+	p.ops = make([]op, 0, ops)
 	p.draws = make([]draw, 0, draws)
+	p.args = make([]int32, 0, args)
 	meas := 0
 	for i := range c.Instructions {
 		in := &c.Instructions[i]
 		p.width = max(p.width, len(in.Targets))
-		o := op{code: in.Op, targets: in.Targets, recs: in.Recs, index: in.Index, x: -1, z: -1}
-		switch in.Op {
-		case circuit.OpTick:
-			continue // no state effect, no randomness
-		case circuit.OpM, circuit.OpMX:
-			o.index = meas
+		if elided(in) {
+			continue
+		}
+		start := len(p.args)
+		for _, a := range argsOf(in) {
+			p.args = append(p.args, int32(a))
+		}
+		o := op{code: in.Op, args: p.args[start:len(p.args):len(p.args)], index: int32(in.Index), x: -1, z: -1}
+		if in.Op == circuit.OpM || in.Op == circuit.OpMX {
+			o.index = int32(meas)
 			meas += len(in.Targets)
-		case circuit.OpXError, circuit.OpYError, circuit.OpZError, circuit.OpDepolarize1, circuit.OpDepolarize2:
-			if in.Arg <= 0 {
-				continue // draws nothing and flips nothing
-			}
 		}
 		if drawsNoise(in) {
 			o.x, o.z = p.addDraw(in)
@@ -301,6 +317,36 @@ func Compile(c *circuit.Circuit) *Program {
 		p.ops = append(p.ops, o)
 	}
 	return p
+}
+
+// elided reports whether in compiles to nothing: a tick, or a pure-noise
+// channel whose Arg is ≤ 0. Neither touches frames or draws randomness.
+func elided(in *circuit.Instruction) bool {
+	switch in.Op {
+	case circuit.OpTick:
+		return true
+	case circuit.OpXError, circuit.OpYError, circuit.OpZError, circuit.OpDepolarize1, circuit.OpDepolarize2:
+		return in.Arg <= 0
+	}
+	return false
+}
+
+// argsOf returns the indices in's op reads: the records of a detector or
+// observable, the qubit targets of anything else.
+func argsOf(in *circuit.Instruction) []int {
+	if in.Op == circuit.OpDetector || in.Op == circuit.OpObservable {
+		return in.Recs
+	}
+	return in.Targets
+}
+
+// Bytes returns the bytes p retains: its header, op and draw tables and
+// slab, counted from their capacities.
+func (p *Program) Bytes() int {
+	return int(unsafe.Sizeof(*p)) +
+		cap(p.ops)*int(unsafe.Sizeof(op{})) +
+		cap(p.draws)*int(unsafe.Sizeof(draw{})) +
+		cap(p.args)*int(unsafe.Sizeof(int32(0)))
 }
 
 // drawsNoise reports whether in consumes randomness: a reset, measurement
@@ -316,18 +362,18 @@ func drawsNoise(in *circuit.Instruction) bool {
 
 // addDraw appends in's draw, assigns its noise slots and returns the op's
 // X and Z slots.
-func (p *Program) addDraw(in *circuit.Instruction) (x, z int) {
-	n := len(in.Targets)
-	slot := p.slots
+func (p *Program) addDraw(in *circuit.Instruction) (x, z int32) {
+	n := int32(len(in.Targets))
+	slot := int32(p.slots)
 	p.draws = append(p.draws, draw{code: in.Op, ch: newChannel(in.Arg), slot: slot, n: n})
-	p.slots += n
+	p.slots += int(n)
 	switch in.Op {
 	case circuit.OpResetX, circuit.OpMX, circuit.OpZError:
 		return -1, slot
 	case circuit.OpYError:
 		return slot, slot
 	case circuit.OpDepolarize1, circuit.OpDepolarize2:
-		p.slots += n
+		p.slots += int(n)
 		return slot, slot + n
 	}
 	return slot, -1 // R, M, X_ERROR
@@ -402,17 +448,17 @@ func (fs *FrameSimulator) apply() {
 		o := &fs.prog.ops[i]
 		switch o.code {
 		case circuit.OpH:
-			for _, q := range o.targets {
+			for _, q := range o.args {
 				xf[q], zf[q] = zf[q], xf[q]
 			}
 		case circuit.OpS:
 			// S maps X -> Y: an X frame gains a Z component.
-			for _, q := range o.targets {
+			for _, q := range o.args {
 				xorLane(&zf[q], &xf[q])
 			}
 		case circuit.OpCX:
-			for j := 0; j < len(o.targets); j += 2 {
-				c, t := o.targets[j], o.targets[j+1]
+			for j := 0; j < len(o.args); j += 2 {
+				c, t := o.args[j], o.args[j+1]
 				xc, xt, zc, zt := &xf[c], &xf[t], &zf[c], &zf[t]
 				for w := 0; w < LaneWords; w++ {
 					xt[w] ^= xc[w] // X on control propagates to target
@@ -420,8 +466,8 @@ func (fs *FrameSimulator) apply() {
 				}
 			}
 		case circuit.OpCZ:
-			for j := 0; j < len(o.targets); j += 2 {
-				a, b := o.targets[j], o.targets[j+1]
+			for j := 0; j < len(o.args); j += 2 {
+				a, b := o.args[j], o.args[j+1]
 				xa, xb, za, zb := &xf[a], &xf[b], &zf[a], &zf[b]
 				for w := 0; w < LaneWords; w++ {
 					za[w] ^= xb[w]
@@ -429,8 +475,8 @@ func (fs *FrameSimulator) apply() {
 				}
 			}
 		case circuit.OpSwap:
-			for j := 0; j < len(o.targets); j += 2 {
-				a, b := o.targets[j], o.targets[j+1]
+			for j := 0; j < len(o.args); j += 2 {
+				a, b := o.args[j], o.args[j+1]
 				xf[a], xf[b] = xf[b], xf[a]
 				zf[a], zf[b] = zf[b], zf[a]
 			}
@@ -438,7 +484,7 @@ func (fs *FrameSimulator) apply() {
 			// Reset discards the frame; a noisy reset leaves an error in the
 			// part its basis flips (X after |0>, Z after |+>).
 			own, other, m := fs.basis(o)
-			for j, q := range o.targets {
+			for j, q := range o.args {
 				own[q], other[q] = m[j], Lane{}
 			}
 		case circuit.OpM, circuit.OpMX:
@@ -447,8 +493,9 @@ func (fs *FrameSimulator) apply() {
 			// flip. The other part is a stabilizer of the collapsed state, so
 			// it is cleared.
 			own, other, m := fs.basis(o)
-			for j, q := range o.targets {
-				r, f, e := &fs.recs[o.index+j], &own[q], &m[j]
+			recs := fs.recs[o.index:]
+			for j, q := range o.args {
+				r, f, e := &recs[j], &own[q], &m[j]
 				for w := 0; w < LaneWords; w++ {
 					r[w] = f[w] ^ e[w]
 				}
@@ -456,7 +503,7 @@ func (fs *FrameSimulator) apply() {
 			}
 		case circuit.OpXError, circuit.OpYError, circuit.OpZError, circuit.OpDepolarize1, circuit.OpDepolarize2:
 			mx, mz := fs.masks(o.x), fs.masks(o.z)
-			for j, q := range o.targets {
+			for j, q := range o.args {
 				x, z, ex, ez := &xf[q], &zf[q], &mx[j], &mz[j]
 				for w := 0; w < LaneWords; w++ {
 					x[w] ^= ex[w]
@@ -464,9 +511,9 @@ func (fs *FrameSimulator) apply() {
 				}
 			}
 		case circuit.OpDetector:
-			fs.det[o.index] = fs.parity(o.recs)
+			fs.det[o.index] = fs.parity(o.args)
 		case circuit.OpObservable:
-			v := fs.parity(o.recs)
+			v := fs.parity(o.args)
 			xorLane(&fs.obs[o.index], &v)
 		}
 	}
@@ -484,7 +531,7 @@ func (fs *FrameSimulator) basis(o *op) (own, other, masks []Lane) {
 
 // masks returns the noise lanes from slot on, or lanes that stay zero for
 // a slot of -1, so an op XORs nothing into a part it has no noise in.
-func (fs *FrameSimulator) masks(slot int) []Lane {
+func (fs *FrameSimulator) masks(slot int32) []Lane {
 	if slot < 0 {
 		return fs.noise[fs.prog.slots:]
 	}
@@ -499,7 +546,7 @@ func xorLane(dst, src *Lane) {
 }
 
 // parity returns the XOR of the record lanes at idx.
-func (fs *FrameSimulator) parity(idx []int) Lane {
+func (fs *FrameSimulator) parity(idx []int32) Lane {
 	var v Lane
 	for _, i := range idx {
 		xorLane(&v, &fs.recs[i])

@@ -3,8 +3,10 @@ package sim_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"caliqec/internal/circuit"
 	"caliqec/internal/code"
@@ -49,9 +51,9 @@ func TestProgramSharedAcrossSimulators(t *testing.T) {
 	}
 }
 
-// TestCompileAllocsFlat: Compile sizes its op and draw tables before it
-// fills them and NewSimulator allocates one buffer per lane kind, so
-// neither allocates per instruction: a d=7 memory circuit costs as many
+// TestCompileAllocsFlat: Compile sizes its op and draw tables and its
+// slab before it fills them and NewSimulator allocates one buffer per lane
+// kind, so neither allocates per instruction: a d=7 memory circuit costs as many
 // allocations as a d=3 one. Every cache miss of the calibration loop
 // compiles a deformed circuit no cache has seen.
 func TestCompileAllocsFlat(t *testing.T) {
@@ -124,4 +126,52 @@ func TestAllOpsGoldenDigest(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("stream sha256 %s, want %s", got, want)
 	}
+}
+
+// TestProgramReleasesCircuit: a Program copies the targets and records its
+// ops read, so it keeps no part of its circuit alive. Once the circuit is
+// dropped, the arrays behind its Targets and Recs are collected while the
+// Program lives on, and the Program still samples what a compile of an
+// identical circuit samples. The calibration loop caches one Program per
+// deformed circuit it has seen.
+func TestProgramReleasesCircuit(t *testing.T) {
+	freed := make(chan string, 2)
+	build := func(final bool) *circuit.Circuit {
+		targets, recs := &[4]int{0, 1, 2, 3}, &[4]int{0, 1, 2, 3}
+		if final {
+			runtime.SetFinalizer(targets, func(*[4]int) { freed <- "Targets" })
+			runtime.SetFinalizer(recs, func(*[4]int) { freed <- "Recs" })
+		}
+		return &circuit.Circuit{
+			NumQubits: 4, NumMeas: 4, NumDetectors: 2,
+			Instructions: []circuit.Instruction{
+				{Op: circuit.OpDepolarize1, Arg: 0.05, Targets: targets[:]},
+				{Op: circuit.OpM, Arg: 0.01, Targets: targets[:]},
+				{Op: circuit.OpDetector, Index: 0, Recs: recs[:2]},
+				{Op: circuit.OpDetector, Index: 1, Recs: recs[2:]},
+			},
+		}
+	}
+	p := sim.Compile(build(true))
+	collected := map[string]bool{}
+	for i := 0; i < 100 && len(collected) < 2; i++ {
+		runtime.GC()
+		select {
+		case name := <-freed:
+			collected[name] = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !collected["Targets"] || !collected["Recs"] {
+		t.Errorf("after dropping the circuit, collected %v of its Targets and Recs arrays; a Program must keep neither alive", collected)
+	}
+	digest := func(p *sim.Program) string {
+		h := sha256.New()
+		p.NewSimulator(rng.New(3)).Sample(300, func(b sim.BatchResult) { writeShots(h, b) })
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	if got, want := digest(p), digest(sim.Compile(build(false))); got != want {
+		t.Errorf("program of a collected circuit samples %s, a fresh compile %s", got, want)
+	}
+	runtime.KeepAlive(p)
 }
