@@ -553,8 +553,9 @@ func BenchmarkStreamReplay(b *testing.B) {
 // across 4 tenants through one shared worker pool. Frames per stream stays
 // under the stream-queue bound, so admission is deterministic and nothing
 // sheds — every sent frame is decoded. frames/s is the aggregate decode
-// throughput; fleet_p99_ns is the p99 of the pool's per-frame decode-latency
-// histogram, the SLO number scripts/bench_mc.sh gates in BENCH_stream.json
+// throughput; fleet_p99_ns is the p99 of the pool's decode-latency
+// histogram, whose samples are the per-frame means of claimed spans, and is
+// the SLO number scripts/bench_mc.sh gates in BENCH_stream.json
 // (fleet_p99_budget_ns).
 func BenchmarkFleetServe(b *testing.B) {
 	const (

@@ -18,23 +18,26 @@ type cacheKey struct{ circuit, prior [16]byte }
 // pair: the decoding graph built from the prior's DEM, a pool of reusable
 // decoder instances per kind (decoders carry scratch state, so one
 // instance serves one worker at a time; pooling avoids rebuilding their
-// adjacency scans every chunk), and the sampled circuit's compiled
-// sim.Program with a pool of frame simulators over it. The DEM is dropped
-// once the graph is built and the program keeps no part of the circuit, so
-// beyond its pools, which the garbage collector empties, an entry retains
-// its graph and its program; bytes counts those two. Every worker shares
-// the program, and a simulator carries only lanes, noise buffer and RNG.
+// adjacency scans every chunk), and, once the entry first samples, the
+// sampled circuit's compiled sim.Program with a pool of frame simulators
+// over it. An entry that only decodes frames (Engine.FrameDecoder) never
+// compiles. The DEM is dropped once the graph is built and the program
+// keeps no part of the circuit, so beyond its pools, which the garbage
+// collector empties, an entry retains its graph and its program; bytes
+// counts those two. Every worker shares the program, and a simulator
+// carries only lanes, noise buffer and RNG.
 type cacheEntry struct {
+	key   cacheKey
 	graph *decoder.Graph
 	pools [2]sync.Pool // indexed by decoder.DecoderKind
 
-	program *sim.Program
-	sims    sync.Pool // *sim.FrameSimulator over program
+	compile sync.Once
+	sims    sync.Pool // *sim.FrameSimulator over the compiled program
 
-	bytes int // retained by graph and program, from their capacities
+	bytes int // retained by graph and program, from their capacities; guarded by Engine.mu
 }
 
-func newCacheEntry(c, prior *circuit.Circuit) (*cacheEntry, error) {
+func newCacheEntry(key cacheKey, prior *circuit.Circuit) (*cacheEntry, error) {
 	model, err := dem.FromCircuit(prior)
 	if err != nil {
 		return nil, fmt.Errorf("mc: extracting DEM: %w", err)
@@ -43,14 +46,31 @@ func newCacheEntry(c, prior *circuit.Circuit) (*cacheEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mc: building graph: %w", err)
 	}
-	p := sim.Compile(c)
-	ent := &cacheEntry{graph: g, program: p, bytes: g.Bytes() + p.Bytes()}
+	ent := &cacheEntry{key: key, graph: g, bytes: g.Bytes()}
 	for kind := range ent.pools {
 		k := decoder.DecoderKind(kind)
 		ent.pools[kind].New = func() interface{} { return decoder.New(k, g) }
 	}
-	ent.sims.New = func() interface{} { return p.NewSimulator(nil) }
 	return ent, nil
+}
+
+// simulators returns ent's pool of frame simulators. The first call
+// compiles c, the circuit ent samples (its fingerprint is ent's key, so
+// the entry never keeps the circuit), and adds the program's bytes to the
+// entry and, while the entry is resident, to mc.cache.bytes.
+func (e *Engine) simulators(ent *cacheEntry, c *circuit.Circuit) *sync.Pool {
+	ent.compile.Do(func() {
+		p := sim.Compile(c)
+		ent.sims.New = func() interface{} { return p.NewSimulator(nil) }
+		e.mu.Lock()
+		ent.bytes += p.Bytes()
+		if e.cache[ent.key] == ent {
+			e.bytes += p.Bytes()
+		}
+		e.mu.Unlock()
+		e.publishCacheStats()
+	})
+	return &ent.sims
 }
 
 // pool returns the entry's pool of decoder.Decoder instances of kind.
@@ -78,7 +98,7 @@ func (e *Engine) entryFor(c, prior *circuit.Circuit) (*cacheEntry, error) {
 
 	// Built outside the lock: concurrent misses on the same pair may build
 	// twice, but the first insert wins and both results are valid.
-	ent, err := newCacheEntry(c, prior)
+	ent, err := newCacheEntry(key, prior)
 	if err != nil {
 		return nil, err
 	}

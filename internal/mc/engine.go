@@ -690,8 +690,9 @@ func (e *Engine) runChunk(ctx context.Context, c *circuit.Circuit, ent *cacheEnt
 	pool := ent.pool(kind)
 	dec := pool.Get().(decoder.Decoder)
 	defer pool.Put(dec)
-	fs := ent.sims.Get().(*sim.FrameSimulator)
-	defer ent.sims.Put(fs)
+	sims := e.simulators(ent, c)
+	fs := sims.Get().(*sim.FrameSimulator)
+	defer sims.Put(fs)
 	fs.Reset(seed)
 	sc := scratchPool.Get().(*batchScratch)
 	defer scratchPool.Put(sc)

@@ -138,6 +138,38 @@ func TestCacheBytesGauge(t *testing.T) {
 	}
 }
 
+// TestFrameDecoderEntryCompilesOnFirstSample: an entry that only decodes
+// frames holds no sampler program, so mc.cache.bytes counts its graph
+// alone; the first Evaluate of the same circuit hits that entry, compiles
+// the program and adds its bytes.
+func TestFrameDecoderEntryCompilesOnFirstSample(t *testing.T) {
+	c := memCircuit(t, 5, 5, 1e-3)
+	m, err := dem.FromCircuit(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := decoder.BuildGraph(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry(nil)
+	e := New(Options{Metrics: reg})
+	gauge := func() int { return int(reg.Snapshot()["mc.cache.bytes"].(float64)) }
+	if _, err := e.FrameDecoder(c, decoder.KindUnionFind); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge(); got != g.Bytes() {
+		t.Fatalf("FrameDecoder-only entry: mc.cache.bytes = %d, want its graph's %d", got, g.Bytes())
+	}
+	mustEval(t, e, Spec{Circuit: c, Decoder: decoder.KindUnionFind, Shots: 100, Seed: 1})
+	if hits, misses, _ := e.CacheStats(); hits != 1 || misses != 1 {
+		t.Fatalf("Evaluate after FrameDecoder: hits=%d misses=%d, want 1/1", hits, misses)
+	}
+	if got, want := gauge(), g.Bytes()+sim.Compile(c).Bytes(); got != want {
+		t.Errorf("after one Evaluate: mc.cache.bytes = %d, want graph plus program %d", got, want)
+	}
+}
+
 // TestStalePriorDecoding: a Prior circuit with the same structure but
 // different rates is accepted (and is the stale-priors path Fig. 13 uses);
 // a structurally different prior is rejected. The cache keys an entry by

@@ -246,6 +246,20 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
+// ObserveN records n samples whose mean is total/n, for a caller that times
+// n items with one clock pair: the mean's bucket and Count each advance by
+// n, and Sum by total, so Count still counts items and Sum/Count is still
+// their exact mean. The buckets then describe group means, not single
+// items. n <= 0 records nothing.
+func (h *Histogram) ObserveN(total, n int64) {
+	if h == nil || n <= 0 {
+		return
+	}
+	h.buckets[bucketOf(total/n)].Add(n)
+	h.count.Add(n)
+	h.sum.Add(total)
+}
+
 // Count returns the number of samples observed (0 on nil).
 func (h *Histogram) Count() int64 {
 	if h == nil {

@@ -67,6 +67,39 @@ func TestHistogramObserve(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN: ObserveN(total, n) leaves the buckets and Count as
+// n Observe(total/n) calls would, and Sum at exactly total, remainder
+// included. A non-positive n records nothing.
+func TestHistogramObserveN(t *testing.T) {
+	cases := []struct{ total, n int64 }{
+		{0, 1}, {7, 1}, {1000, 64}, {1023, 2}, {1 << 20, 3}, {-9, 4}, {5, 7},
+	}
+	got, want := &Histogram{}, &Histogram{}
+	var sum int64
+	for _, c := range cases {
+		got.ObserveN(c.total, c.n)
+		for i := int64(0); i < c.n; i++ {
+			want.Observe(c.total / c.n)
+		}
+		sum += c.total
+	}
+	got.ObserveN(100, 0)
+	got.ObserveN(100, -3)
+	if got.Count() != want.Count() {
+		t.Errorf("Count = %d, want %d", got.Count(), want.Count())
+	}
+	if got.Sum() != sum {
+		t.Errorf("Sum = %d, want %d", got.Sum(), sum)
+	}
+	for b := 0; b < histBuckets; b++ {
+		if got.Bucket(b) != want.Bucket(b) {
+			t.Errorf("bucket %d = %d, want %d", b, got.Bucket(b), want.Bucket(b))
+		}
+	}
+	var nilH *Histogram
+	nilH.ObserveN(10, 2)
+}
+
 func TestNilHandlesAreNoOps(t *testing.T) {
 	var c *Counter
 	var g *Gauge

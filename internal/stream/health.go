@@ -139,7 +139,9 @@ type HealthSnapshot struct {
 
 // windowBucket accumulates one window's additive counts. Workers touch
 // buckets in whatever order they drain the queue; only completed buckets
-// reach the estimators, in window order.
+// reach the estimators, in window order. A finalized bucket is cleared and
+// reused for a later window, so a stream allocates buckets only for the
+// windows it holds open at once, not one per window.
 type windowBucket struct {
 	frames   int
 	failures int
@@ -148,8 +150,9 @@ type windowBucket struct {
 
 // Monitor is one stream's drift monitor: per-detector fire-rate estimators
 // (EWMA + Page/CUSUM over fixed-point integers) plus a windowed-LER check
-// against a learned baseline, fed per decoded frame by Replay. Safe for
-// concurrent use; all methods are no-ops on a nil receiver.
+// against a learned baseline, fed one claimed span of decoded frames at a
+// time by the decode pool. Safe for concurrent use; all methods are no-ops
+// on a nil receiver.
 type Monitor struct {
 	cfg     EstimatorConfig
 	rateCfg obs.RateConfig
@@ -169,8 +172,9 @@ type Monitor struct {
 	frames    int64
 	failures  int64
 	buckets   map[int64]*windowBucket
-	next      int64 // lowest unfinalized window index
-	finalized int64 // frames inside finalized windows (≤ frames)
+	free      []*windowBucket // finalized buckets, cleared for reuse
+	next      int64           // lowest unfinalized window index
+	finalized int64           // frames inside finalized windows (≤ frames)
 	est       []obs.RateEstimator
 	baseFail  int64 // LER baseline accumulators (frozen after BaselineWindows)
 	baseN     int64
@@ -250,46 +254,90 @@ func (m *Monitor) Events() int64 {
 
 // Observe feeds one decoded frame: idx is the frame's position in the
 // stream (assigned by the reader, so it is scheduling-independent),
-// syndrome the sorted fired detectors, failed the scorer's verdict. Safe
-// for concurrent use from many workers.
+// syndrome the sorted fired detectors, failed the scorer's verdict. It is
+// the one-frame case of ObserveSpan. Safe for concurrent use from many
+// workers.
 func (m *Monitor) Observe(idx int64, syndrome []int, failed bool) {
-	if m == nil || m.cfg.Window <= 0 || idx < 0 {
+	m.ObserveSpan(idx, syndrome, []int{len(syndrome)}, []bool{failed})
+}
+
+// ObserveSpan feeds len(ends) decoded frames at the consecutive stream
+// positions first, first+1, …, under one lock: frame i's sorted fired
+// detectors are syndromes[ends[i-1]:ends[i]] (from 0 for i = 0) and
+// failed[i] is its verdict. Spans may arrive in any order from many
+// workers; the result equals feeding every frame through Observe.
+func (m *Monitor) ObserveSpan(first int64, syndromes []int, ends []int, failed []bool) {
+	if m == nil || m.cfg.Window <= 0 || first < 0 || len(ends) == 0 {
 		return
 	}
-	w := idx / int64(m.cfg.Window)
+	window := int64(m.cfg.Window)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.frames++
-	if failed {
-		m.failures++
-	}
-	b := m.buckets[w]
-	if b == nil {
-		b = &windowBucket{fires: make([]int64, m.numDet)}
-		m.buckets[w] = b
-	}
-	b.frames++
-	if failed {
-		b.failures++
-	}
-	for _, d := range syndrome {
-		if d >= 0 && d < m.numDet {
-			b.fires[d]++
+	m.frames += int64(len(ends))
+	w := first / window
+	b, edge := m.bucketLocked(w), (w+1)*window // edge: window w+1's first frame
+	lo := 0
+	filled := false
+	for i, hi := range ends {
+		if first+int64(i) == edge {
+			w++
+			b, edge = m.bucketLocked(w), edge+window
 		}
+		b.frames++
+		filled = filled || b.frames == m.cfg.Window
+		if failed[i] {
+			m.failures++
+			b.failures++
+		}
+		for _, d := range syndromes[lo:hi] {
+			if d >= 0 && d < m.numDet {
+				b.fires[d]++
+			}
+		}
+		lo = hi
 	}
-	// Finalize every completed window in ascending order. Windows beyond a
+	// Finalize every completed window in ascending order. Window next can
+	// only have completed if this span filled a bucket. Windows beyond a
 	// still-incomplete one wait in their buckets (the pool's bounded
 	// stream queue bounds how many), preserving the deterministic event order.
+	if !filled {
+		return
+	}
 	for {
 		nb := m.buckets[m.next]
 		if nb == nil || nb.frames < m.cfg.Window {
 			break
 		}
-		m.finalizeTimed(nb, int64(m.cfg.Window))
-		delete(m.buckets, m.next)
-		m.finalized += int64(m.cfg.Window)
-		m.next++
+		m.finalizeTimed(nb, window)
+		m.recycleLocked(nb)
+		m.finalized += window
 	}
+}
+
+// bucketLocked returns window w's bucket, taking a cleared one from the
+// free list (or allocating) when w has none yet. Called with mu held.
+func (m *Monitor) bucketLocked(w int64) *windowBucket {
+	b := m.buckets[w]
+	if b == nil {
+		if n := len(m.free); n > 0 {
+			b, m.free = m.free[n-1], m.free[:n-1]
+		} else {
+			b = &windowBucket{fires: make([]int64, m.numDet)}
+		}
+		m.buckets[w] = b
+	}
+	return b
+}
+
+// recycleLocked retires the just-finalized bucket of window next: it clears
+// the bucket onto the free list for a later window and advances next.
+// Called with mu held.
+func (m *Monitor) recycleLocked(b *windowBucket) {
+	delete(m.buckets, m.next)
+	m.next++
+	b.frames, b.failures = 0, 0
+	clear(b.fires)
+	m.free = append(m.free, b)
 }
 
 // Finalize flushes the monitor's pending partial windows: every bucket still
@@ -313,11 +361,15 @@ func (m *Monitor) Finalize() {
 		if nb == nil {
 			break
 		}
-		m.finalizeTimed(nb, int64(nb.frames))
-		delete(m.buckets, m.next)
-		m.finalized += int64(nb.frames)
-		m.next++
+		n := int64(nb.frames)
+		m.finalizeTimed(nb, n)
+		m.recycleLocked(nb)
+		m.finalized += n
 	}
+	// The stream has ended, but its monitor stays registered for /health:
+	// drop the reusable buckets rather than keep them for windows that will
+	// not come.
+	m.free = nil
 }
 
 // finalizeTimed wraps finalizeWindow with the estimator-latency histogram.

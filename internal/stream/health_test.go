@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"caliqec/internal/obs"
+	"caliqec/internal/rng"
 	"caliqec/internal/stream"
 )
 
@@ -211,6 +214,125 @@ func TestHealthDeterminismAcrossWorkers(t *testing.T) {
 	}
 	if len(ev1) == 0 {
 		t.Error("determinism test vacuous: no events generated")
+	}
+}
+
+// TestMonitorObserveSpanMatchesObserve: a trace fed through ObserveSpan in
+// spans of 1 to 130 frames, which straddle window edges and reach the
+// monitor out of order from two goroutines, yields the same snapshot JSON,
+// event log and event count as the trace fed frame by frame through
+// Observe, and either way every window is finalized as soon as it fills.
+func TestMonitorObserveSpanMatchesObserve(t *testing.T) {
+	const window = 100
+	r, err := stream.NewReader(bytes.NewReader(driftTrace(t, 4, window, 6, 4, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every frame's detectors in one flat list; frame i's end at ends[i].
+	var syn, ends []int
+	var failed []bool
+	var f stream.Frame
+	for {
+		if err := r.Next(&f); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		syn = f.Syndrome(syn)
+		ends = append(ends, len(syn))
+		failed = append(failed, parityScorer{}.ScoreFrame(nil, f.Obs))
+	}
+	begin := func(i int) int {
+		if i == 0 {
+			return 0
+		}
+		return ends[i-1]
+	}
+	run := func(feed func(*stream.Monitor)) (snap, events []byte, n int64) {
+		t.Helper()
+		var log bytes.Buffer
+		sink := obs.NewEventSink(&log, 256)
+		cfg := testEstimator(window)
+		cfg.Stream = "s"
+		cfg.Events = sink
+		m := stream.NewMonitor(cfg, parityScorer{}, r.Header(), obs.Discard)
+		feed(m)
+		// The trace is whole windows, so each completed as it filled.
+		if s := m.Snapshot(); s.Windows != int64(len(ends)/window) || s.PendingFrames != 0 {
+			t.Errorf("before Finalize: %d windows, %d pending frames; want %d, 0", s.Windows, s.PendingFrames, len(ends)/window)
+		}
+		m.Finalize()
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(m.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js, log.Bytes(), m.Events()
+	}
+
+	snap1, ev1, n1 := run(func(m *stream.Monitor) {
+		for i := range ends {
+			m.Observe(int64(i), syn[begin(i):ends[i]], failed[i])
+		}
+	})
+
+	type span struct{ first, n int }
+	var spans []span
+	straddle := 0
+	g := rng.New(23)
+	for i := 0; i < len(ends); {
+		n := min(1+g.Intn(130), len(ends)-i)
+		if i/window != (i+n-1)/window {
+			straddle++
+		}
+		spans = append(spans, span{i, n})
+		i += n
+	}
+	if straddle == 0 {
+		t.Fatal("no span straddles a window edge")
+	}
+	snap2, ev2, n2 := run(func(m *stream.Monitor) {
+		deliver := func(sp span) {
+			lo, hi := begin(sp.first), ends[sp.first+sp.n-1]
+			rel := make([]int, sp.n)
+			for j := range rel {
+				rel[j] = ends[sp.first+j] - lo
+			}
+			m.ObserveSpan(int64(sp.first), syn[lo:hi], rel, failed[sp.first:sp.first+sp.n])
+		}
+		// One goroutine delivers the even spans last to first, the other
+		// the odd spans first to last, so windows complete out of order
+		// however the two interleave.
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for k := (len(spans) - 1) &^ 1; k >= 0; k -= 2 {
+				deliver(spans[k])
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for k := 1; k < len(spans); k += 2 {
+				deliver(spans[k])
+			}
+		}()
+		wg.Wait()
+	})
+
+	if len(ev1) == 0 {
+		t.Fatal("vacuous: the frame-by-frame run produced no events")
+	}
+	if !bytes.Equal(snap1, snap2) {
+		t.Errorf("snapshots differ:\n Observe:     %s\n ObserveSpan: %s", snap1, snap2)
+	}
+	if !bytes.Equal(ev1, ev2) {
+		t.Errorf("event logs differ:\n Observe:\n%s ObserveSpan:\n%s", ev1, ev2)
+	}
+	if n1 != n2 {
+		t.Errorf("Events() = %d through ObserveSpan, %d through Observe", n2, n1)
 	}
 }
 

@@ -2,7 +2,9 @@ package stream
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -361,41 +363,70 @@ func (p *Pool) Close() {
 }
 
 // worker claims and decodes spans until the pool closes and drains. The
-// span's frames and packed bytes land in scratch the worker owns and
-// reuses, so decoding allocates nothing once the scratch has grown.
+// span is the unit of every step but decoding: the worker unpacks the
+// span's syndromes into one flat scratch (frame i's detectors end at
+// ends[i]), scores each frame between one pair of clock reads, records
+// each decode histogram once with the span's mean, and hands the span to
+// the drift monitor under one lock. The span's frames, packed bytes,
+// syndromes and verdicts land in scratch the worker owns and reuses, so
+// decoding allocates nothing once the scratch has grown.
 func (p *Pool) worker() {
-	var syn []int
-	var span []frame
+	// A span holds at most quantum × weight frames, so at weight 1 the
+	// per-frame scratch never grows.
+	span := make([]frame, 0, p.quantum)
+	ends := make([]int, 0, p.quantum)
+	failed := make([]bool, 0, p.quantum)
 	var packed []byte
+	var syn []int
 	for {
 		var st *Stream
 		st, span, packed = p.claim(span, packed)
 		if st == nil {
 			return
 		}
-		fb := st.queue.fbytes
-		failures := 0
-		for i := range span {
-			f := &span[i]
-			fr := Frame{Obs: f.obs, Packed: packed[i*fb : (i+1)*fb]}
-			syn = fr.Syndrome(syn[:0])
-			var failed bool
-			if p.latency != nil {
-				start := p.reg.Now()
-				failed = st.scorer.ScoreFrame(syn, f.obs)
-				ns := p.reg.Now().Sub(start).Nanoseconds()
-				p.latency.Observe(ns)
-				st.t.latency.Observe(ns)
-			} else {
-				failed = st.scorer.ScoreFrame(syn, f.obs)
-			}
-			if failed {
+		syn, ends = unpackSpan(syn[:0], ends[:0], packed, st.queue.fbytes)
+		failed = failed[:0]
+		var start time.Time
+		if p.latency != nil {
+			start = p.reg.Now()
+		}
+		failures, lo := 0, 0
+		for i, hi := range ends {
+			// The capacity bound keeps a scorer that appends to its
+			// syndrome from writing over the next frame's.
+			f := st.scorer.ScoreFrame(syn[lo:hi:hi], span[i].obs)
+			if f {
 				failures++
 			}
-			st.mon.Observe(f.idx, syn, failed)
+			failed = append(failed, f)
+			lo = hi
 		}
+		if p.latency != nil {
+			ns := p.reg.Now().Sub(start).Nanoseconds()
+			p.latency.ObserveN(ns, int64(len(span)))
+			st.t.latency.ObserveN(ns, int64(len(span)))
+		}
+		st.mon.ObserveSpan(span[0].idx, syn, ends, failed)
 		p.complete(st, len(span), failures)
 	}
+}
+
+// unpackSpan appends the fired detectors of each fb-byte frame in packed to
+// syn, and the offset in syn where each frame's detectors end to ends. It
+// first grows syn to hold every detector the span fires, so the scratch
+// reaches its working size in one step rather than by doubling.
+func unpackSpan(syn, ends []int, packed []byte, fb int) ([]int, []int) {
+	fired := 0
+	for _, b := range packed {
+		fired += bits.OnesCount8(b)
+	}
+	syn = slices.Grow(syn, fired)
+	for lo := 0; lo < len(packed); lo += fb {
+		fr := Frame{Packed: packed[lo : lo+fb]}
+		syn = fr.Syndrome(syn)
+		ends = append(ends, len(syn))
+	}
+	return syn, ends
 }
 
 // claim blocks until a span is available (returning its frames and packed

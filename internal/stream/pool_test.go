@@ -523,26 +523,32 @@ func testDrainedStreamIsCollectable(t *testing.T, bp stream.Backpressure) {
 // TestAllocsDoNotGrowWithFrames: admitting and decoding a frame allocates
 // nothing in steady state, so a 4096-frame stream allocates about as many
 // objects as a 1024-frame one. What remains is per stream and per pool
-// (the pool, the stream, its queue's doublings, the workers' scratch). Two
-// paths: Replay, which runs one Block stream on a private pool, and a
-// stream opened on a Shed pool that stays open.
+// (the pool, the stream, its queue's doublings, the workers' scratch), and
+// stays below 32. Three paths: Replay, which runs one Block stream on a
+// private pool; Replay with the drift monitor on, whose 100-frame windows
+// reuse finalized buckets (a bucket per window would add two objects for
+// each of the 30 extra windows); and a stream opened on a Shed pool that
+// stays open.
 func TestAllocsDoNotGrowWithFrames(t *testing.T) {
 	const numDet = 120
 	traces := map[int][]byte{}
 	for _, n := range []int{1024, 4096} {
 		traces[n] = syntheticTrace(t, numDet, n)
 	}
-	replay := func(n int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			r, err := stream.NewReader(bytes.NewReader(traces[n]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats, err := stream.Replay(context.Background(), r, parityScorer{}, stream.PipelineOptions{Metrics: obs.Discard})
-			if err != nil || stats.Frames != n {
-				t.Fatalf("replayed %d of %d frames: %v", stats.Frames, n, err)
-			}
-		})
+	replayWith := func(est stream.EstimatorConfig) func(int) float64 {
+		return func(n int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				r, err := stream.NewReader(bytes.NewReader(traces[n]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := stream.PipelineOptions{Metrics: obs.Discard, Estimator: est}
+				stats, err := stream.Replay(context.Background(), r, parityScorer{}, opt)
+				if err != nil || stats.Frames != n {
+					t.Fatalf("replayed %d of %d frames: %v", stats.Frames, n, err)
+				}
+			})
+		}
 	}
 	// The queue holds a whole stream, so every frame is admitted, not shed.
 	p := stream.NewPool(stream.Config{Backpressure: stream.Shed, StreamQueue: 4096, Metrics: obs.Discard})
@@ -568,10 +574,14 @@ func TestAllocsDoNotGrowWithFrames(t *testing.T) {
 	for _, path := range []struct {
 		name string
 		run  func(frames int) float64
-	}{{"Replay", replay}, {"Shed", shed}} {
+	}{
+		{"Replay", replayWith(stream.EstimatorConfig{})},
+		{"Replay monitored", replayWith(stream.EstimatorConfig{Window: 100})},
+		{"Shed", shed},
+	} {
 		small, large := path.run(1024), path.run(4096)
 		t.Logf("%s: %.0f allocs for 1024 frames, %.0f for 4096", path.name, small, large)
-		if large-small >= 64 {
+		if large-small >= 32 {
 			t.Errorf("%s: %.0f allocs for 4096 frames against %.0f for 1024: allocations grow with frame count",
 				path.name, large, small)
 		}

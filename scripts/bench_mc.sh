@@ -47,11 +47,13 @@
 #     may cost replay throughput at most 5% on multi-core runners (15% on
 #     a single core, where the reader and the decode workers take turns on
 #     one CPU and pipeline ns/op is noisy). Measured overhead sits around
-#     2-3%: the estimator's per-frame work is one mutex hop plus integer
-#     bucket updates.
+#     2-3%: the estimator's work is one mutex hop per claimed span plus
+#     integer bucket updates per frame.
 #   - the multi-tenant fleet's per-frame decode p99 (BenchmarkFleetServe,
 #     fleet_p99_ns: 256 concurrent streams through one shared pool) must
-#     stay under 200µs. Measured values sit around 7µs; the headroom
+#     stay under 200µs. The pool times each claimed span with one clock
+#     pair and records its per-frame mean once per frame, so this is a p99
+#     of span means. Measured values sit around 7µs; the headroom
 #     absorbs slow CI runners while catching a scheduler regression that
 #     parks frames behind lock convoys or unfair queues.
 #
