@@ -43,20 +43,13 @@ import (
 )
 
 // Topology selects the hardware lattice family.
-type Topology int
+type Topology = lattice.Kind
 
 // Supported topologies (paper Table 1).
 const (
-	Square   Topology = iota // Rigetti-class square lattice
-	HeavyHex                 // IBM-class heavy-hexagon lattice
+	Square   = lattice.Square   // Rigetti-class square lattice
+	HeavyHex = lattice.HeavyHex // IBM-class heavy-hexagon lattice
 )
-
-func (tp Topology) String() string {
-	if tp == Square {
-		return "square"
-	}
-	return "heavy-hex"
-}
 
 // Options configures NewSystem.
 type Options struct {
@@ -95,12 +88,7 @@ func NewSystem(tp Topology, d int, opt Options) (*System, error) {
 		opt.DeltaD = 4
 	}
 	r := rng.New(opt.Seed ^ 0xca11bec)
-	var lat *lattice.Lattice
-	if tp == Square {
-		lat = lattice.NewSquare(d)
-	} else {
-		lat = lattice.NewHeavyHex(d)
-	}
+	lat := lattice.New(tp, d, d)
 	dev := device.New(lat, device.Options{Model: opt.DriftModel}, r.Split())
 	patch := code.NewPatch(lat)
 	return &System{

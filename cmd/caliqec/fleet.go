@@ -7,17 +7,13 @@ import (
 	"caliqec/internal/stream"
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"os/signal"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 )
 
@@ -100,15 +96,15 @@ type loadResult struct {
 	latency  time.Duration
 }
 
-// cmdLoadgen drives a fleet server with many concurrent streams and checks
+// runLoadgen drives a fleet server with many concurrent streams and checks
 // the multi-tenant contracts: every sent frame is accounted for (admitted or
 // shed — zero unexplained loss), no stream stalls (per-stream deadline), the
 // admitted-frame share of each tenant stays within 2x of its weight share
 // under contention, and the p99 stream round-trip meets -slo-p99 when set.
-// Exits non-zero on any violation.
-func cmdLoadgen(args []string) error {
-	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
-	topo := topoFlag(fs)
+// Any violation is an error.
+func runLoadgen(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("loadgen", stderr)
+	tp := topoFlag(fs)
 	d := fs.Int("d", 3, "code distance the server decodes (must be in its -d list)")
 	p := fs.Float64("p", 1e-3, "physical error rate of the served decoding graphs")
 	rounds := fs.Int("rounds", 0, "QEC rounds (default: the distance)")
@@ -121,25 +117,20 @@ func cmdLoadgen(args []string) error {
 	timeout := fs.Duration("timeout", 120*time.Second, "per-stream dial+send+summary deadline (a stalled socket fails the run)")
 	sloP99 := fs.Duration("slo-p99", 0, "fail when the p99 stream round-trip exceeds this (0 = report only)")
 	weights := fs.String("tenant-weights", "", "the server's id:weight[,...] map, for the fairness check; unlisted tenants weigh 1")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	if *streams <= 0 || *tenants <= 0 || *frames <= 0 {
 		return fmt.Errorf("loadgen: -streams, -tenants and -frames must be positive")
-	}
-	tp, err := parseTopo(*topo)
-	if err != nil {
-		return err
 	}
 	wmap, err := parseTenantWeights(*weights)
 	if err != nil {
 		return err
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	// One base trace, re-headed per tenant so the server's admission sees
 	// distinct tenant IDs over identical decode work.
-	c, r, err := buildMemoryCircuit(tp, *d, *rounds, *p)
+	c, r, _, err := memoryCircuit(*tp, *d, *rounds, *p, false)
 	if err != nil {
 		return err
 	}
@@ -161,8 +152,8 @@ func cmdLoadgen(args []string) error {
 			return err
 		}
 	}
-	fmt.Printf("loadgen: %d streams x %d frames over %d tenants against %s (%v d=%d p=%.3g rounds=%d)\n",
-		*streams, *frames, *tenants, *addr, tp, *d, *p, r)
+	fmt.Fprintf(stdout, "loadgen: %d streams x %d frames over %d tenants against %s (%v d=%d p=%.3g rounds=%d)\n",
+		*streams, *frames, *tenants, *addr, *tp, *d, *p, r)
 
 	results := make([]loadResult, *streams)
 	start := time.Now()
@@ -283,7 +274,7 @@ func cmdLoadgen(args []string) error {
 		sumW += weightOf(id)
 	}
 
-	fmt.Printf("%-8s %8s %6s %9s %6s %12s %12s %9s %9s\n",
+	fmt.Fprintf(stdout, "%-8s %8s %6s %9s %6s %12s %12s %9s %9s\n",
 		"tenant", "streams", "ok", "overload", "fail", "admitted", "shed", "share", "weight")
 	var fairErrs []string
 	for _, id := range ids {
@@ -292,7 +283,7 @@ func cmdLoadgen(args []string) error {
 		if totAdmitted > 0 {
 			share = float64(a.admitted) / float64(totAdmitted)
 		}
-		fmt.Printf("%-8d %8d %6d %9d %6d %12d %12d %8.1f%% %8.1f%%\n",
+		fmt.Fprintf(stdout, "%-8d %8d %6d %9d %6d %12d %12d %8.1f%% %8.1f%%\n",
 			id, a.streams, a.ok, a.overload, a.failed, a.admitted, a.shed, 100*share, 100*expect)
 		// Fairness only binds under contention: with nothing shed anywhere,
 		// every tenant keeps 100% of what it sent and shares track offered
@@ -304,7 +295,7 @@ func cmdLoadgen(args []string) error {
 			}
 		}
 	}
-	fmt.Printf("\n%d streams in %v: %d frames admitted, %d shed, %.0f frames/s; latency p50 %v p99 %v\n",
+	fmt.Fprintf(stdout, "\n%d streams in %v: %d frames admitted, %d shed, %.0f frames/s; latency p50 %v p99 %v\n",
 		*streams, elapsed.Round(time.Millisecond), totAdmitted, totShed,
 		float64(totAdmitted)/elapsed.Seconds(), p50.Round(time.Millisecond), p99.Round(time.Millisecond))
 
@@ -322,6 +313,6 @@ func cmdLoadgen(args []string) error {
 	if len(viol) > 0 {
 		return fmt.Errorf("loadgen violations:\n  %s", strings.Join(viol, "\n  "))
 	}
-	fmt.Println("loadgen ok: zero unexplained loss, no stalled streams" + map[bool]string{true: ", fairness within the 2x band", false: ""}[totShed > 0])
+	fmt.Fprintln(stdout, "loadgen ok: zero unexplained loss, no stalled streams"+map[bool]string{true: ", fairness within the 2x band", false: ""}[totShed > 0])
 	return nil
 }

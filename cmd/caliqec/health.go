@@ -1,121 +1,27 @@
 package main
 
 import (
-	"bufio"
-	"caliqec/internal/obs"
 	"caliqec/internal/stream"
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"net/http"
-	"os"
-	"os/signal"
 	"sort"
 	"strings"
-	"syscall"
 	"time"
 )
 
-// driftConfig wires the drift-observability flags shared by replay and
-// serve: -drift-window enables the in-pipeline estimators, -health-addr
-// serves /health (+ /metrics) over HTTP while the command runs, -drift-log
-// appends structured drift events as JSON lines.
-type driftConfig struct {
-	healthAddr  string
-	driftLog    string
-	driftWindow int
-
-	health *stream.HealthRegistry
-	sink   *obs.EventSink
-	logF   *os.File
-	logBuf *bufio.Writer
-}
-
-func addDriftFlags(fs *flag.FlagSet) *driftConfig {
-	c := &driftConfig{}
-	fs.StringVar(&c.healthAddr, "health-addr", "", "serve /health, /health/stream/<id> and /metrics on this address while decoding")
-	fs.StringVar(&c.driftLog, "drift-log", "", "append drift events to this file as JSON lines")
-	fs.IntVar(&c.driftWindow, "drift-window", 0, "drift-estimator window in frames (0 = off; defaults to 1000 when -health-addr or -drift-log is set)")
-	return c
-}
-
-// enabled reports whether any drift flag switched monitoring on.
-func (c *driftConfig) enabled() bool {
-	return c.driftWindow > 0 || c.healthAddr != "" || c.driftLog != ""
-}
-
-// start opens the event log and the health endpoint, returning the
-// estimator config to hand to the pipeline (zero-valued when monitoring is
-// off). Call finish (even on error paths) to flush and close the log.
-func (c *driftConfig) start() (stream.EstimatorConfig, error) {
-	if !c.enabled() {
-		return stream.EstimatorConfig{}, nil
-	}
-	if c.driftWindow <= 0 {
-		c.driftWindow = 1000
-	}
-	cfg := stream.EstimatorConfig{Window: c.driftWindow}
-	c.health = stream.NewHealthRegistry()
-	cfg.Health = c.health
-	if c.driftLog != "" {
-		f, err := os.OpenFile(c.driftLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return stream.EstimatorConfig{}, err
-		}
-		c.logF = f
-		c.logBuf = bufio.NewWriter(f)
-		c.sink = obs.NewEventSink(c.logBuf, 0)
-		cfg.Events = c.sink
-	}
-	if c.healthAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/health", c.health.Handler())
-		mux.Handle("/health/stream/", c.health.Handler())
-		mux.Handle("/metrics", obs.Default.Handler())
-		go func() {
-			if err := http.ListenAndServe(c.healthAddr, mux); err != nil {
-				fmt.Fprintln(os.Stderr, "caliqec: health server:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "health server on http://%s/health\n", c.healthAddr)
-	}
-	return cfg, nil
-}
-
-// finish drains the event sink and closes the log, reporting dropped
-// events so a stalled disk never silently loses drift evidence.
-func (c *driftConfig) finish() error {
-	if c.sink == nil {
-		if c.logF != nil {
-			return c.logF.Close()
-		}
-		return nil
-	}
-	err := c.sink.Close()
-	if ferr := c.logBuf.Flush(); err == nil {
-		err = ferr
-	}
-	if ferr := c.logF.Close(); err == nil {
-		err = ferr
-	}
-	if n := c.sink.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "caliqec: %d drift events dropped (slow event log)\n", n)
-	}
-	return err
-}
-
-// cmdHealth polls a running replay/serve health endpoint and renders the
+// runHealth polls a running replay/serve health endpoint and renders the
 // per-stream drift state as text.
-func cmdHealth(args []string) error {
-	fs := flag.NewFlagSet("health", flag.ExitOnError)
+func runHealth(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("health", stderr)
 	addr := fs.String("addr", "127.0.0.1:8791", "health endpoint address (the -health-addr of a running replay/serve)")
 	one := fs.String("stream", "", "show only this stream (/health/stream/<id>)")
 	watch := fs.Duration("watch", 0, "re-poll at this interval until interrupted (0 = once)")
-	fs.Parse(args)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	poll := func() error {
 		snaps, err := fetchHealth(ctx, *addr, *one)
 		if err != nil {
@@ -124,7 +30,7 @@ func cmdHealth(args []string) error {
 			}
 			return err
 		}
-		renderHealth(os.Stdout, snaps)
+		renderHealth(stdout, snaps)
 		return nil
 	}
 	if err := poll(); err != nil {
@@ -140,7 +46,7 @@ func cmdHealth(args []string) error {
 		case <-ctx.Done():
 			return nil
 		case <-tick.C:
-			fmt.Println()
+			fmt.Fprintln(stdout)
 			if err := poll(); err != nil {
 				return err
 			}
@@ -186,7 +92,7 @@ func fetchHealth(ctx context.Context, addr, one string) ([]stream.HealthSnapshot
 
 // renderHealth prints one aligned row per stream plus a drifting-detector
 // detail line for any stream that is flagged.
-func renderHealth(w *os.File, snaps []stream.HealthSnapshot) {
+func renderHealth(w io.Writer, snaps []stream.HealthSnapshot) {
 	if len(snaps) == 0 {
 		fmt.Fprintln(w, "no streams")
 		return

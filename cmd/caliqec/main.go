@@ -14,10 +14,14 @@
 //	caliqec health       -addr 127.0.0.1:8791        poll a replay/serve drift-health endpoint
 //	caliqec vet          -d 3                        static IR + deformation-log checks
 //	caliqec instructions                             print Table 1
+//
+// Exit status: 0 on success or -h, 1 when the command fails, 2 on a bad
+// flag or an unknown subcommand.
 package main
 
 import (
 	"caliqec"
+	"caliqec/internal/circuit"
 	"caliqec/internal/code"
 	"caliqec/internal/decoder"
 	"caliqec/internal/deform"
@@ -27,8 +31,10 @@ import (
 	"caliqec/internal/runtime"
 	"caliqec/internal/workload"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -37,201 +43,115 @@ import (
 	"syscall"
 )
 
+// commands is the dispatch table, in the order the usage line lists it.
+// Each subcommand parses its own flags, writes its report to stdout and
+// its diagnostics to stderr, and stops early when ctx is cancelled.
+var commands = []struct {
+	name string
+	run  func(ctx context.Context, args []string, stdout, stderr io.Writer) error
+}{
+	{"characterize", runCharacterize},
+	{"schedule", runSchedule},
+	{"run", runRun},
+	{"simulate", runSimulate},
+	{"record", runRecord},
+	{"replay", runReplay},
+	{"serve", runServe},
+	{"loadgen", runLoadgen},
+	{"health", runHealth},
+	{"vet", runVet},
+	{"instructions", runInstructions},
+}
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "characterize":
-		err = cmdCharacterize(args)
-	case "schedule":
-		err = cmdSchedule(args)
-	case "run":
-		err = cmdRun(args)
-	case "simulate":
-		err = cmdSimulate(args)
-	case "record":
-		err = cmdRecord(args)
-	case "replay":
-		err = cmdReplay(args)
-	case "serve":
-		err = cmdServe(args)
-	case "loadgen":
-		err = cmdLoadgen(args)
-	case "health":
-		err = cmdHealth(args)
-	case "vet":
-		err = cmdVet(args)
-	case "instructions":
-		err = cmdInstructions()
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "caliqec:", err)
-		os.Exit(1)
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// The first interrupt cancels ctx; a second one kills the process,
+	// whether or not the command watches ctx.
+	context.AfterFunc(ctx, stop)
+	status := dispatch(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(status)
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: caliqec <characterize|schedule|run|simulate|record|replay|serve|loadgen|health|vet|instructions> [flags]`)
+// errUsage marks a bad command line the flag package has already reported
+// on stderr, together with the command's flags.
+var errUsage = errors.New("bad usage")
+
+// dispatch runs the subcommand args[0] names and returns the exit status.
+func dispatch(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	for _, c := range commands {
+		if len(args) == 0 || args[0] != c.name {
+			continue
+		}
+		switch err := c.run(ctx, args[1:], stdout, stderr); {
+		case err == nil, errors.Is(err, flag.ErrHelp):
+			return 0
+		case errors.Is(err, errUsage):
+			return 2
+		default:
+			fmt.Fprintln(stderr, "caliqec:", err)
+			return 1
+		}
+	}
+	names := make([]string, len(commands))
+	for i, c := range commands {
+		names[i] = c.name
+	}
+	fmt.Fprintf(stderr, "usage: caliqec <%s> [flags]\n", strings.Join(names, "|"))
+	return 2
 }
 
-func topoFlag(fs *flag.FlagSet) *string {
-	return fs.String("topology", "square", "lattice topology: square | hex")
+// newFlags returns a subcommand's flag set. A bad flag is reported on
+// stderr and returned by parseFlags; it never exits the process.
+func newFlags(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
 }
 
-func parseTopo(s string) (caliqec.Topology, error) {
+// parseFlags parses args into fs and marks any failure other than -h as
+// errUsage.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return err
+	}
+	return fmt.Errorf("%w: %v", errUsage, err)
+}
+
+// topology is the -topology flag value.
+type topology caliqec.Topology
+
+func (t *topology) String() string { return caliqec.Topology(*t).String() }
+
+func (t *topology) Set(s string) error {
 	switch s {
 	case "square":
-		return caliqec.Square, nil
+		*t = topology(caliqec.Square)
 	case "hex", "heavy-hex", "heavyhex":
-		return caliqec.HeavyHex, nil
-	}
-	return 0, fmt.Errorf("unknown topology %q", s)
-}
-
-func cmdCharacterize(args []string) error {
-	fs := flag.NewFlagSet("characterize", flag.ExitOnError)
-	topo := topoFlag(fs)
-	d := fs.Int("d", 5, "code distance")
-	seed := fs.Uint64("seed", 1, "random seed")
-	limit := fs.Int("limit", 20, "gates to print (0 = all)")
-	fs.Parse(args)
-	tp, err := parseTopo(*topo)
-	if err != nil {
-		return err
-	}
-	sys, err := caliqec.NewSystem(tp, *d, caliqec.Options{Seed: *seed})
-	if err != nil {
-		return err
-	}
-	ch := sys.Characterize()
-	fmt.Printf("characterized %d gates on %v d=%d (%d physical qubits)\n\n",
-		len(ch.Gates), tp, *d, sys.Device.Lat.NumQubits())
-	fmt.Printf("%-6s %-10s %-12s %-12s %-10s %s\n", "gate", "kind", "p0(est)", "Tdrift(est)", "Tcali", "|nbr|")
-	n := 0
-	for _, gc := range ch.Gates {
-		g := sys.Device.Gate(gc.GateID)
-		fmt.Printf("%-6d %-10v %-12.3g %-12.2f %-10.3f %d\n",
-			gc.GateID, g.Kind, gc.Drift.P0, gc.Drift.TDrift, gc.CaliHours, len(gc.Nbr))
-		n++
-		if *limit > 0 && n >= *limit {
-			fmt.Printf("... (%d more)\n", len(ch.Gates)-n)
-			break
-		}
+		*t = topology(caliqec.HeavyHex)
+	default:
+		return fmt.Errorf("unknown topology %q", s)
 	}
 	return nil
 }
 
-func cmdSchedule(args []string) error {
-	fs := flag.NewFlagSet("schedule", flag.ExitOnError)
-	topo := topoFlag(fs)
-	d := fs.Int("d", 5, "code distance")
-	seed := fs.Uint64("seed", 1, "random seed")
-	ler := fs.Float64("ler", 1e-3, "target logical error rate per cycle")
-	fs.Parse(args)
-	tp, err := parseTopo(*topo)
-	if err != nil {
-		return err
-	}
-	sys, err := caliqec.NewSystem(tp, *d, caliqec.Options{Seed: *seed})
-	if err != nil {
-		return err
-	}
-	plan, err := sys.Compile(sys.Characterize(), *ler)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("p_tar = %.4g (LER target %.3g at d=%d)\n", plan.PTar, *ler, *d)
-	fmt.Printf("base interval T_Cali = %.3f h, total frequency = %.3f cal/h\n\n",
-		plan.Grouping.TCaliHours, plan.Grouping.TotalFrequency())
-	var ks []int
-	for k := range plan.Grouping.Groups {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	for _, k := range ks {
-		fmt.Printf("group k=%-3d period %6.2f h: %d gates\n",
-			k, float64(k)*plan.Grouping.TCaliHours, len(plan.Grouping.Groups[k]))
+// topoFlag registers -topology (default square) on fs.
+func topoFlag(fs *flag.FlagSet) *caliqec.Topology {
+	tp := new(caliqec.Topology)
+	fs.Var((*topology)(tp), "topology", "lattice `kind`: square | hex (default square)")
+	return tp
+}
+
+// checkDistance rejects a code distance the lattice constructors refuse.
+func checkDistance(d int) error {
+	if d < 3 || d%2 == 0 {
+		return fmt.Errorf("invalid distance %d (want an odd integer ≥ 3)", d)
 	}
 	return nil
 }
 
-func cmdRun(args []string) (err error) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	topo := topoFlag(fs)
-	d := fs.Int("d", 5, "code distance")
-	seed := fs.Uint64("seed", 1, "random seed")
-	ler := fs.Float64("ler", 1e-3, "target logical error rate per cycle")
-	intervals := fs.Int("intervals", 4, "calibration intervals to execute")
-	shots := fs.Int("shots", 0, "when > 0, Monte-Carlo-measure the patch LER after each interval with this shot budget")
-	account := fs.Bool("account", true, "run the Table-2 strategy accounting (no-cal / LSC / CaliQEC retry risk) after the intervals")
-	oc := addObsFlags(fs)
-	fs.Parse(args)
-	tp, err := parseTopo(*topo)
-	if err != nil {
-		return err
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ctx = oc.start(ctx)
-	defer func() {
-		if ferr := oc.finish(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
-	sys, err := caliqec.NewSystem(tp, *d, caliqec.Options{Seed: *seed})
-	if err != nil {
-		return err
-	}
-	plan, err := sys.Compile(sys.Characterize(), *ler)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("in-situ calibration on %v d=%d: T_Cali=%.2fh p_tar=%.4g\n\n",
-		tp, *d, plan.Grouping.TCaliHours, plan.PTar)
-	now := 0.0
-	for n := 1; n <= *intervals; n++ {
-		rep, err := sys.RunIntervalContext(ctx, plan, n, now)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("interval %d (t=%6.2fh): %3d due, %3d calibrated in %d batches (Δd≤%d, enlarged=%v, %.2fh)\n",
-			n, now, len(rep.DueGates), rep.Calibrated, rep.Batches, rep.MaxDeltaD, rep.Enlarged, rep.ElapsedHours)
-		if err := sys.Patch().Validate(); err != nil {
-			return fmt.Errorf("patch invalid after interval %d: %w", n, err)
-		}
-		if *shots > 0 {
-			res, err := sys.MeasureLERContext(ctx, now, *d, *shots)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("  patch LER at t=%.2fh: %v (per-round %.4g)\n", now, res, res.PerRoundLER)
-		}
-		now += plan.Grouping.TCaliHours
-	}
-	fmt.Printf("\npatch valid, distance (%d, %d), %d checks\n",
-		sys.Patch().Distance(lattice.BasisX), sys.Patch().Distance(lattice.BasisZ), len(sys.Patch().Checks))
-	if *account {
-		fmt.Printf("\nstrategy accounting (Hubbard-10-10, d=25, retry budget 1%%):\n")
-		cfg := runtime.Config{Prog: workload.Hubbard(10, 10), D: 25, RetryTarget: 0.01, Seed: *seed}
-		for _, strat := range []runtime.Strategy{runtime.StrategyNoCal, runtime.StrategyLSC, runtime.StrategyCaliQEC} {
-			res, err := runtime.Run(ctx, cfg, strat)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("  %v\n", res)
-		}
-	}
-	return nil
-}
-
-// parseDistances parses the simulate -d value: a single distance or a
+// parseDistances parses a -d value that takes a single distance or a
 // comma-separated list for a batched multi-distance sweep.
 func parseDistances(s string) ([]int, error) {
 	var ds []int
@@ -241,7 +161,7 @@ func parseDistances(s string) ([]int, error) {
 			continue
 		}
 		d, err := strconv.Atoi(part)
-		if err != nil || d < 3 || d%2 == 0 {
+		if err != nil || checkDistance(d) != nil {
 			return nil, fmt.Errorf("invalid distance %q (want odd integers ≥ 3, comma-separated)", part)
 		}
 		ds = append(ds, d)
@@ -252,9 +172,165 @@ func parseDistances(s string) ([]int, error) {
 	return ds, nil
 }
 
-func cmdSimulate(args []string) (err error) {
-	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
-	topo := topoFlag(fs)
+// memoryCircuit builds the Z-basis memory-experiment circuit simulate and
+// the stream subcommands run: a distance-d patch under uniform noise p over
+// rounds QEC rounds (0 = d), returned with the round count it used. With
+// isolate set, the central data qubit is isolated first (DataQ_RM) and its
+// record returned. Record and replay must build the circuit from the same
+// flags: the trace header's circuit fingerprint is checked against it
+// before a single frame is decoded.
+func memoryCircuit(tp caliqec.Topology, d, rounds int, p float64, isolate bool) (*circuit.Circuit, int, *deform.Record, error) {
+	if err := checkDistance(d); err != nil {
+		return nil, 0, nil, err
+	}
+	if rounds == 0 {
+		rounds = d
+	}
+	lat := lattice.New(tp, d, d)
+	patch := code.NewPatch(lat)
+	var rec *deform.Record
+	if isolate {
+		df := deform.NewDeformer(patch)
+		var err error
+		if rec, err = df.IsolateQubit(lat.DataID[[2]int{d / 2, d / 2}], "cli"); err != nil {
+			return nil, 0, nil, err
+		}
+		patch = df.Patch
+	}
+	c, err := patch.MemoryCircuit(code.MemoryOptions{Rounds: rounds, Basis: lattice.BasisZ, Noise: code.UniformNoise(p)})
+	return c, rounds, rec, err
+}
+
+func runCharacterize(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("characterize", stderr)
+	tp := topoFlag(fs)
+	d := fs.Int("d", 5, "code distance")
+	seed := fs.Uint64("seed", 1, "random seed")
+	limit := fs.Int("limit", 20, "gates to print (0 = all)")
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	sys, err := caliqec.NewSystem(*tp, *d, caliqec.Options{Seed: *seed})
+	if err != nil {
+		return err
+	}
+	ch := sys.Characterize()
+	fmt.Fprintf(stdout, "characterized %d gates on %v d=%d (%d physical qubits)\n\n",
+		len(ch.Gates), *tp, *d, sys.Device.Lat.NumQubits())
+	fmt.Fprintf(stdout, "%-6s %-10s %-12s %-12s %-10s %s\n", "gate", "kind", "p0(est)", "Tdrift(est)", "Tcali", "|nbr|")
+	n := 0
+	for _, gc := range ch.Gates {
+		g := sys.Device.Gate(gc.GateID)
+		fmt.Fprintf(stdout, "%-6d %-10v %-12.3g %-12.2f %-10.3f %d\n",
+			gc.GateID, g.Kind, gc.Drift.P0, gc.Drift.TDrift, gc.CaliHours, len(gc.Nbr))
+		n++
+		if *limit > 0 && n >= *limit {
+			fmt.Fprintf(stdout, "... (%d more)\n", len(ch.Gates)-n)
+			break
+		}
+	}
+	return nil
+}
+
+func runSchedule(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("schedule", stderr)
+	tp := topoFlag(fs)
+	d := fs.Int("d", 5, "code distance")
+	seed := fs.Uint64("seed", 1, "random seed")
+	ler := fs.Float64("ler", 1e-3, "target logical error rate per cycle")
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	sys, err := caliqec.NewSystem(*tp, *d, caliqec.Options{Seed: *seed})
+	if err != nil {
+		return err
+	}
+	plan, err := sys.Compile(sys.Characterize(), *ler)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "p_tar = %.4g (LER target %.3g at d=%d)\n", plan.PTar, *ler, *d)
+	fmt.Fprintf(stdout, "base interval T_Cali = %.3f h, total frequency = %.3f cal/h\n\n",
+		plan.Grouping.TCaliHours, plan.Grouping.TotalFrequency())
+	var ks []int
+	for k := range plan.Grouping.Groups {
+		ks = append(ks, k)
+	}
+	sort.Ints(ks)
+	for _, k := range ks {
+		fmt.Fprintf(stdout, "group k=%-3d period %6.2f h: %d gates\n",
+			k, float64(k)*plan.Grouping.TCaliHours, len(plan.Grouping.Groups[k]))
+	}
+	return nil
+}
+
+func runRun(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := newFlags("run", stderr)
+	tp := topoFlag(fs)
+	d := fs.Int("d", 5, "code distance")
+	seed := fs.Uint64("seed", 1, "random seed")
+	ler := fs.Float64("ler", 1e-3, "target logical error rate per cycle")
+	intervals := fs.Int("intervals", 4, "calibration intervals to execute")
+	shots := fs.Int("shots", 0, "when > 0, Monte-Carlo-measure the patch LER after each interval with this shot budget")
+	account := fs.Bool("account", true, "run the Table-2 strategy accounting (no-cal / LSC / CaliQEC retry risk) after the intervals")
+	s := addSessionFlags(fs, false)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	ctx, err = s.start(ctx, stderr)
+	if err != nil {
+		return err
+	}
+	defer s.finish(&err)
+	sys, err := caliqec.NewSystem(*tp, *d, caliqec.Options{Seed: *seed})
+	if err != nil {
+		return err
+	}
+	plan, err := sys.Compile(sys.Characterize(), *ler)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "in-situ calibration on %v d=%d: T_Cali=%.2fh p_tar=%.4g\n\n",
+		*tp, *d, plan.Grouping.TCaliHours, plan.PTar)
+	now := 0.0
+	for n := 1; n <= *intervals; n++ {
+		rep, err := sys.RunIntervalContext(ctx, plan, n, now)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "interval %d (t=%6.2fh): %3d due, %3d calibrated in %d batches (Δd≤%d, enlarged=%v, %.2fh)\n",
+			n, now, len(rep.DueGates), rep.Calibrated, rep.Batches, rep.MaxDeltaD, rep.Enlarged, rep.ElapsedHours)
+		if err := sys.Patch().Validate(); err != nil {
+			return fmt.Errorf("patch invalid after interval %d: %w", n, err)
+		}
+		if *shots > 0 {
+			res, err := sys.MeasureLERContext(ctx, now, *d, *shots)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "  patch LER at t=%.2fh: %v (per-round %.4g)\n", now, res, res.PerRoundLER)
+		}
+		now += plan.Grouping.TCaliHours
+	}
+	fmt.Fprintf(stdout, "\npatch valid, distance (%d, %d), %d checks\n",
+		sys.Patch().Distance(lattice.BasisX), sys.Patch().Distance(lattice.BasisZ), len(sys.Patch().Checks))
+	if *account {
+		fmt.Fprintf(stdout, "\nstrategy accounting (Hubbard-10-10, d=25, retry budget 1%%):\n")
+		cfg := runtime.Config{Prog: workload.Hubbard(10, 10), D: 25, RetryTarget: 0.01, Seed: *seed}
+		for _, strat := range []runtime.Strategy{runtime.StrategyNoCal, runtime.StrategyLSC, runtime.StrategyCaliQEC} {
+			res, err := runtime.Run(ctx, cfg, strat)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "  %v\n", res)
+		}
+	}
+	return nil
+}
+
+func runSimulate(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := newFlags("simulate", stderr)
+	tp := topoFlag(fs)
 	dList := fs.String("d", "3", "code distance, or comma-separated distances (e.g. 3,5,7) for one batched sweep")
 	p := fs.Float64("p", 1e-3, "physical error rate")
 	rounds := fs.Int("rounds", 0, "QEC rounds (default: the distance)")
@@ -263,45 +339,30 @@ func cmdSimulate(args []string) (err error) {
 	isolate := fs.Bool("isolate", false, "isolate the central data qubit first (DataQ_RM)")
 	targetFails := fs.Int("target-failures", 0, "stop early once this many logical failures are seen (0 = run the full budget)")
 	progress := fs.Bool("progress", false, "print a live shots/failures status line to stderr")
-	oc := addObsFlags(fs)
-	fs.Parse(args)
-	tp, err := parseTopo(*topo)
-	if err != nil {
+	s := addSessionFlags(fs, false)
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	ds, err := parseDistances(*dList)
 	if err != nil {
 		return err
 	}
+	ctx, err = s.start(ctx, stderr)
+	if err != nil {
+		return err
+	}
+	defer s.finish(&err)
 	specs := make([]mc.Spec, len(ds))
 	roundsOf := make([]int, len(ds))
 	for i, d := range ds {
-		r := *rounds
-		if r == 0 {
-			r = d
-		}
-		roundsOf[i] = r
-		var lat *lattice.Lattice
-		if tp == caliqec.Square {
-			lat = lattice.NewSquare(d)
-		} else {
-			lat = lattice.NewHeavyHex(d)
-		}
-		patch := code.NewPatch(lat)
-		if *isolate {
-			df := deform.NewDeformer(patch)
-			q := lat.DataID[[2]int{d / 2, d / 2}]
-			rec, err := df.IsolateQubit(q, "cli")
-			if err != nil {
-				return err
-			}
-			patch = df.Patch
-			fmt.Printf("d=%d: isolated qubit %d: %v\n", d, q, rec)
-		}
-		c, err := patch.MemoryCircuit(code.MemoryOptions{Rounds: r, Basis: lattice.BasisZ, Noise: code.UniformNoise(*p)})
+		c, r, iso, err := memoryCircuit(*tp, d, *rounds, *p, *isolate)
 		if err != nil {
 			return err
 		}
+		if iso != nil {
+			fmt.Fprintf(stdout, "d=%d: isolated qubit %d: %v\n", d, iso.Target, iso)
+		}
+		roundsOf[i] = r
 		// Each distance seeds its own generator (seed+i, so a single -d run
 		// reproduces the historical rng.New(seed) stream exactly); batching
 		// the sweep cannot perturb any distance's result.
@@ -311,43 +372,37 @@ func cmdSimulate(args []string) (err error) {
 			TargetFailures: *targetFails,
 		}
 		if *progress {
-			d := d
 			specs[i].Progress = func(done, failures int) {
-				fmt.Fprintf(os.Stderr, "\rd=%d: %d/%d shots, %d failures", d, done, *shots, failures)
+				fmt.Fprintf(stderr, "\rd=%d: %d/%d shots, %d failures", d, done, *shots, failures)
 			}
 		}
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ctx = oc.start(ctx)
-	defer func() {
-		if ferr := oc.finish(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
 	results, err := mc.EvaluateBatch(ctx, specs)
 	if *progress {
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintln(stderr)
 	}
 	if err != nil {
 		return err
 	}
 	for i, res := range results {
-		fmt.Printf("%v d=%d p=%.3g rounds=%d: %v (per-round %.4g)\n", tp, ds[i], *p, roundsOf[i], res.Result, res.PerRoundLER)
+		fmt.Fprintf(stdout, "%v d=%d p=%.3g rounds=%d: %v (per-round %.4g)\n", *tp, ds[i], *p, roundsOf[i], res.Result, res.PerRoundLER)
 		if res.EarlyStopped {
-			fmt.Printf("early stop: %d of %d budgeted shots spent\n", res.Shots, res.Requested)
+			fmt.Fprintf(stdout, "early stop: %d of %d budgeted shots spent\n", res.Shots, res.Requested)
 		}
 	}
 	return nil
 }
 
-func cmdInstructions() error {
+func runInstructions(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	if err := parseFlags(newFlags("instructions", stderr), args); err != nil {
+		return err
+	}
 	for _, kind := range []lattice.Kind{lattice.Square, lattice.HeavyHex} {
-		fmt.Printf("%-10s:", kind)
+		fmt.Fprintf(stdout, "%-10s:", kind)
 		for _, op := range deform.InstructionSet(kind) {
-			fmt.Printf(" %s", op)
+			fmt.Fprintf(stdout, " %s", op)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	return nil
 }

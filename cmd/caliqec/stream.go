@@ -2,11 +2,8 @@ package main
 
 import (
 	"bufio"
-	"caliqec"
 	"caliqec/internal/circuit"
-	"caliqec/internal/code"
 	"caliqec/internal/decoder"
-	"caliqec/internal/lattice"
 	"caliqec/internal/mc"
 	"caliqec/internal/stream"
 	"context"
@@ -14,29 +11,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
-	"os/signal"
-	"syscall"
 )
-
-// buildMemoryCircuit rebuilds the memory-experiment circuit the stream
-// subcommands operate on. Record and replay must construct it from the same
-// flags: the trace header's circuit fingerprint is checked against it before
-// a single frame is decoded.
-func buildMemoryCircuit(tp caliqec.Topology, d, rounds int, p float64) (*circuit.Circuit, int, error) {
-	if rounds == 0 {
-		rounds = d
-	}
-	var lat *lattice.Lattice
-	if tp == caliqec.Square {
-		lat = lattice.NewSquare(d)
-	} else {
-		lat = lattice.NewHeavyHex(d)
-	}
-	c, err := code.NewPatch(lat).MemoryCircuit(code.MemoryOptions{Rounds: rounds, Basis: lattice.BasisZ, Noise: code.UniformNoise(p)})
-	return c, rounds, err
-}
 
 // frameDecoder returns the decoder replay and serve score c's frames with:
 // whole-shot union-find, or a sliding round window when window > 0.
@@ -47,57 +25,44 @@ func frameDecoder(eng *mc.Engine, c *circuit.Circuit, window int) (*mc.FrameDeco
 	return eng.FrameDecoder(c, decoder.KindUnionFind)
 }
 
-func cmdRecord(args []string) (err error) {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	topo := topoFlag(fs)
+func runRecord(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := newFlags("record", stderr)
+	tp := topoFlag(fs)
 	d := fs.Int("d", 3, "code distance")
 	p := fs.Float64("p", 1e-3, "physical error rate")
 	rounds := fs.Int("rounds", 0, "QEC rounds (default: the distance)")
 	shots := fs.Int("shots", 20000, "shots to record")
 	seed := fs.Uint64("seed", 1, "random seed (stored in the trace header)")
 	out := fs.String("o", "trace.bin", "output trace file")
-	oc := addObsFlags(fs)
-	fs.Parse(args)
-	tp, err := parseTopo(*topo)
+	s := addSessionFlags(fs, false)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	ctx, err = s.start(ctx, stderr)
 	if err != nil {
 		return err
 	}
-	c, r, err := buildMemoryCircuit(tp, *d, *rounds, *p)
+	defer s.finish(&err)
+	c, r, _, err := memoryCircuit(*tp, *d, *rounds, *p, false)
 	if err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ctx = oc.start(ctx)
-	defer func() {
-		if ferr := oc.finish(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
 	spec := mc.Spec{Circuit: c, Decoder: decoder.KindUnionFind, Shots: *shots, Rounds: r, Seed: *seed}
-	n, rerr := stream.Record(ctx, spec, bw)
-	if ferr := bw.Flush(); rerr == nil {
-		rerr = ferr
+	var n int
+	if err := writeFile(*out, func(w io.Writer) (err error) {
+		n, err = stream.Record(ctx, spec, w)
+		return err
+	}); err != nil {
+		return err
 	}
-	if ferr := f.Close(); rerr == nil {
-		rerr = ferr
-	}
-	if rerr != nil {
-		return rerr
-	}
-	fmt.Printf("recorded %d shots of %v d=%d p=%.3g rounds=%d (fingerprint %x) to %s\n",
-		n, tp, *d, *p, r, c.Fingerprint(), *out)
+	fmt.Fprintf(stdout, "recorded %d shots of %v d=%d p=%.3g rounds=%d (fingerprint %x) to %s\n",
+		n, *tp, *d, *p, r, c.Fingerprint(), *out)
 	return nil
 }
 
-func cmdReplay(args []string) (err error) {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	topo := topoFlag(fs)
+func runReplay(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := newFlags("replay", stderr)
+	tp := topoFlag(fs)
 	d := fs.Int("d", 3, "code distance the trace was recorded at")
 	p := fs.Float64("p", 1e-3, "physical error rate the trace was recorded at")
 	rounds := fs.Int("rounds", 0, "QEC rounds (default: the distance)")
@@ -106,60 +71,44 @@ func cmdReplay(args []string) (err error) {
 	window := fs.Int("window", 0, "decode through a sliding round window of this many rounds (0 = whole-shot); resident decode state is O(window)")
 	check := fs.Bool("check", false, "re-run the in-process evaluation from the trace's seed metadata and fail on any count mismatch")
 	to := fs.String("to", "", "stream the trace to a caliqec serve instance at this TCP address instead of decoding locally")
-	oc := addObsFlags(fs)
-	dc := addDriftFlags(fs)
-	fs.Parse(args)
+	s := addSessionFlags(fs, true)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: caliqec replay [flags] <trace file>")
 	}
-	path := fs.Arg(0)
-
-	f, err := os.Open(path)
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
+	ctx, err = s.start(ctx, stderr)
+	if err != nil {
+		return err
+	}
+	defer s.finish(&err)
 
 	if *to != "" {
-		conn, err := net.Dial("tcp", *to)
+		var dl net.Dialer
+		conn, err := dl.DialContext(ctx, "tcp", *to)
 		if err != nil {
 			return err
 		}
 		defer conn.Close()
+		stop := context.AfterFunc(ctx, func() { conn.Close() })
+		defer stop()
 		sum, err := stream.SendTrace(conn, bufio.NewReader(f))
 		if err != nil {
 			return err
 		}
-		enc := json.NewEncoder(os.Stdout)
-		return enc.Encode(sum)
+		return json.NewEncoder(stdout).Encode(sum)
 	}
 
-	tp, err := parseTopo(*topo)
+	c, r, _, err := memoryCircuit(*tp, *d, *rounds, *p, false)
 	if err != nil {
 		return err
 	}
-	c, r, err := buildMemoryCircuit(tp, *d, *rounds, *p)
-	if err != nil {
-		return err
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ctx = oc.start(ctx)
-	defer func() {
-		if ferr := oc.finish(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
-	est, err := dc.start()
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if ferr := dc.finish(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
-
 	tr, err := stream.NewReader(bufio.NewReader(f))
 	if err != nil {
 		return err
@@ -167,20 +116,17 @@ func cmdReplay(args []string) (err error) {
 	h := tr.Header()
 	if h.Fingerprint != c.Fingerprint() {
 		return fmt.Errorf("trace fingerprint %x does not match %v d=%d p=%.3g rounds=%d (%x); pass the flags the trace was recorded with",
-			h.Fingerprint, tp, *d, *p, r, c.Fingerprint())
+			h.Fingerprint, *tp, *d, *p, r, c.Fingerprint())
 	}
 	eng := mc.New(mc.Options{})
 	fd, err := frameDecoder(eng, c, *window)
 	if err != nil {
 		return err
 	}
-	if h.Rounds > 0 && h.Rounds != fd.NumRounds() {
-		return fmt.Errorf("trace records %d rounds/shot but the circuit has %d", h.Rounds, fd.NumRounds())
-	}
 	if fd.Window() > 0 {
-		fmt.Printf("windowed decoding: W=%d of %d rounds\n", fd.Window(), fd.NumRounds())
+		fmt.Fprintf(stdout, "windowed decoding: W=%d of %d rounds\n", fd.Window(), fd.NumRounds())
 	}
-	stats, rerr := stream.Replay(ctx, tr, fd, stream.PipelineOptions{Workers: *workers, QueueDepth: *queue, Estimator: est})
+	stats, rerr := stream.Replay(ctx, tr, fd, stream.PipelineOptions{Workers: *workers, QueueDepth: *queue, Estimator: s.est})
 	if rerr != nil && !errors.Is(rerr, stream.ErrTruncated) {
 		return rerr
 	}
@@ -188,19 +134,19 @@ func cmdReplay(args []string) (err error) {
 	if stats.Frames > 0 {
 		ler = float64(stats.Failures) / float64(stats.Frames)
 	}
-	fmt.Printf("replayed %d frames: %d failures, LER %.4g", stats.Frames, stats.Failures, ler)
+	fmt.Fprintf(stdout, "replayed %d frames: %d failures, LER %.4g", stats.Frames, stats.Failures, ler)
 	if stats.Truncated {
-		fmt.Printf(" (trace truncated after %d of %d promised frames)", stats.Frames, h.Shots)
+		fmt.Fprintf(stdout, " (trace truncated after %d of %d promised frames)", stats.Frames, h.Shots)
 	}
-	fmt.Println()
-	if dc.enabled() {
-		fmt.Printf("drift: %d events over %d-frame windows", stats.DriftEvents, est.Window)
-		if mon := est.Health.Get("replay"); mon != nil {
+	fmt.Fprintln(stdout)
+	if s.est.Window > 0 {
+		fmt.Fprintf(stdout, "drift: %d events over %d-frame windows", stats.DriftEvents, s.est.Window)
+		if mon := s.est.Health.Get("replay"); mon != nil {
 			if qs := mon.Snapshot().DriftingQubits; len(qs) > 0 {
-				fmt.Printf("; drifting qubits %v", qs)
+				fmt.Fprintf(stdout, "; drifting qubits %v", qs)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if *check {
@@ -224,53 +170,38 @@ func cmdReplay(args []string) (err error) {
 			return fmt.Errorf("-check FAILED: replay counted %d failures over %d frames, in-process evaluation %d over %d",
 				stats.Failures, stats.Frames, want.Failures, want.Shots)
 		}
-		fmt.Printf("check ok: in-process evaluation reproduces %d failures over %d shots\n", want.Failures, want.Shots)
+		fmt.Fprintf(stdout, "check ok: in-process evaluation reproduces %d failures over %d shots\n", want.Failures, want.Shots)
 	}
 	return nil
 }
 
-func cmdServe(args []string) (err error) {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	topo := topoFlag(fs)
+func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := newFlags("serve", stderr)
+	tp := topoFlag(fs)
 	dList := fs.String("d", "3", "code distance, or comma-separated distances, to serve decoders for")
 	p := fs.Float64("p", 1e-3, "physical error rate of the served decoding graphs")
 	rounds := fs.Int("rounds", 0, "QEC rounds (default: the distance)")
 	addr := fs.String("addr", "127.0.0.1:8790", "TCP listen address")
 	window := fs.Int("window", 0, "serve sliding-window decoders with this round window (0 = whole-shot); resident decode state is O(window)")
 	sf := addServeFlags(fs)
-	oc := addObsFlags(fs)
-	dc := addDriftFlags(fs)
-	fs.Parse(args)
-	tp, err := parseTopo(*topo)
-	if err != nil {
+	s := addSessionFlags(fs, true)
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	ds, err := parseDistances(*dList)
 	if err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ctx = oc.start(ctx)
-	defer func() {
-		if ferr := oc.finish(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
-	est, err := dc.start()
+	ctx, err = s.start(ctx, stderr)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if ferr := dc.finish(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
+	defer s.finish(&err)
 
 	eng := mc.New(mc.Options{})
 	cat := stream.NewCatalog()
 	for _, d := range ds {
-		c, r, err := buildMemoryCircuit(tp, d, *rounds, *p)
+		c, r, _, err := memoryCircuit(*tp, d, *rounds, *p, false)
 		if err != nil {
 			return err
 		}
@@ -283,9 +214,9 @@ func cmdServe(args []string) (err error) {
 			mode = fmt.Sprintf(" window=%d/%d", fd.Window(), fd.NumRounds())
 		}
 		cat.Register(fd.CircuitFingerprint(), fd)
-		fmt.Printf("serving %v d=%d p=%.3g rounds=%d%s: fingerprint %x\n", tp, d, *p, r, mode, fd.CircuitFingerprint())
+		fmt.Fprintf(stdout, "serving %v d=%d p=%.3g rounds=%d%s: fingerprint %x\n", *tp, d, *p, r, mode, fd.CircuitFingerprint())
 	}
-	cfg, err := sf.config(est)
+	cfg, err := sf.config(s.est)
 	if err != nil {
 		return err
 	}
@@ -294,7 +225,7 @@ func cmdServe(args []string) (err error) {
 		return err
 	}
 	srv := stream.NewServer(cfg, cat.Resolve)
-	fmt.Printf("listening on %s (%d circuits, %d decode workers, %v backpressure); Ctrl-C drains and exits\n",
+	fmt.Fprintf(stdout, "listening on %s (%d circuits, %d decode workers, %v backpressure); Ctrl-C drains and exits\n",
 		ln.Addr(), cat.Len(), srv.Pool().Workers(), cfg.Backpressure)
 	return srv.Serve(ctx, ln)
 }

@@ -1,8 +1,9 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
+	"io"
 
 	"caliqec/internal/circuit"
 	"caliqec/internal/code"
@@ -10,19 +11,24 @@ import (
 	"caliqec/internal/lattice"
 )
 
-// cmdVet statically checks the domain IR without running the simulator:
+// runVet statically checks the domain IR without running the simulator:
 // for each lattice kind it builds the example memory circuits (pristine and
 // mid-deformation) and validates them — probability ranges, resolvable
 // detector/observable record references, deterministic detector indexing —
 // then replays a full isolate→enlarge→reintegrate→shrink session and
 // verifies the Deformer's instruction history for legality against the
 // kind's instruction set (paper Table 1).
-func cmdVet(args []string) error {
-	fs := flag.NewFlagSet("vet", flag.ExitOnError)
+func runVet(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("vet", stderr)
 	d := fs.Int("d", 3, "code distance of the example circuits")
 	p := fs.Float64("p", 1e-3, "physical error rate of the example circuits")
 	rounds := fs.Int("rounds", 0, "QEC rounds (default d)")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	if err := checkDistance(*d); err != nil {
+		return err
+	}
 	if *rounds == 0 {
 		*rounds = *d
 	}
@@ -30,18 +36,13 @@ func cmdVet(args []string) error {
 	check := func(what string, err error) {
 		if err != nil {
 			bad++
-			fmt.Printf("FAIL %-40s %v\n", what, err)
+			fmt.Fprintf(stdout, "FAIL %-40s %v\n", what, err)
 		} else {
-			fmt.Printf("ok   %s\n", what)
+			fmt.Fprintf(stdout, "ok   %s\n", what)
 		}
 	}
 	for _, kind := range []lattice.Kind{lattice.Square, lattice.HeavyHex} {
-		var lat *lattice.Lattice
-		if kind == lattice.Square {
-			lat = lattice.NewSquareRect(*d, *d)
-		} else {
-			lat = lattice.NewHeavyHexRect(*d, *d)
-		}
+		lat := lattice.New(kind, *d, *d)
 		patch := code.NewPatch(lat)
 		check(fmt.Sprintf("%v d=%d pristine patch", kind, *d), patch.Validate())
 
@@ -64,10 +65,10 @@ func cmdVet(args []string) error {
 		issues := deform.VerifyLog(kind, df.History)
 		for _, is := range issues {
 			bad++
-			fmt.Printf("FAIL %v d=%d history: %v\n", kind, *d, is)
+			fmt.Fprintf(stdout, "FAIL %v d=%d history: %v\n", kind, *d, is)
 		}
 		if len(issues) == 0 {
-			fmt.Printf("ok   %v d=%d deformation history (%d entries)\n", kind, *d, len(df.History))
+			fmt.Fprintf(stdout, "ok   %v d=%d deformation history (%d entries)\n", kind, *d, len(df.History))
 		}
 	}
 	if bad > 0 {

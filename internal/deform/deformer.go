@@ -202,13 +202,7 @@ func (d *Deformer) Shrink(shrinkRows bool) error {
 
 // rebuild reconstructs the patch at the given size and replays log.
 func (d *Deformer) rebuild(rows, cols int, log []LogEntry) error {
-	var lat *lattice.Lattice
-	if d.Patch.Lat.Kind == lattice.Square {
-		lat = lattice.NewSquareRect(rows, cols)
-	} else {
-		lat = lattice.NewHeavyHexRect(rows, cols)
-	}
-	p := code.NewPatch(lat)
+	p := code.NewPatch(lattice.New(d.Patch.Lat.Kind, rows, cols))
 	nd := &Deformer{Patch: p}
 	for _, e := range log {
 		if e.Op == PatchQAD {

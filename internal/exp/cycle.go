@@ -36,12 +36,7 @@ func CycleLER(ctx context.Context, seed uint64) (*Report, error) {
 	}
 	for _, kind := range []lattice.Kind{lattice.Square, lattice.HeavyHex} {
 		name := kind.String()
-		mk := func() *code.Patch {
-			if kind == lattice.Square {
-				return code.NewPatch(lattice.NewSquare(d))
-			}
-			return code.NewPatch(lattice.NewHeavyHex(d))
-		}
+		mk := func() *code.Patch { return code.NewPatch(lattice.New(kind, d, d)) }
 		// Static reference.
 		static := mk()
 		sc, err := static.MemoryCircuit(code.MemoryOptions{Rounds: 3 * rounds, Basis: lattice.BasisZ, Noise: code.UniformNoise(p)})

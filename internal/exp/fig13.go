@@ -71,12 +71,7 @@ func Fig13RealDevice(ctx context.Context, seed uint64) (*Report, error) {
 		if kind == lattice.HeavyHex {
 			name, key, p0 = "heavy-hex(Eagle-class)", "hex", fig13BaseHex
 		}
-		mk := func() *code.Patch {
-			if kind == lattice.Square {
-				return code.NewPatch(lattice.NewSquare(fig13Distance))
-			}
-			return code.NewPatch(lattice.NewHeavyHex(fig13Distance))
-		}
+		mk := func() *code.Patch { return code.NewPatch(lattice.New(kind, fig13Distance, fig13Distance)) }
 		base := mk()
 		// Target gates: the 1Q gate lives on an interior data qubit (its
 		// idle/echo channel runs every round), the 2Q gate is that data

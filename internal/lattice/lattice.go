@@ -245,6 +245,14 @@ func validateDims(rows, cols int) {
 	}
 }
 
+// New builds a rows×cols layout of the given kind.
+func New(kind Kind, rows, cols int) *Lattice {
+	if kind == Square {
+		return NewSquareRect(rows, cols)
+	}
+	return NewHeavyHexRect(rows, cols)
+}
+
 // NewSquare builds the distance-d rotated-surface-code layout on a square
 // lattice.
 func NewSquare(d int) *Lattice { return NewSquareRect(d, d) }

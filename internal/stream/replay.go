@@ -54,6 +54,8 @@ type Stats struct {
 //
 // Termination:
 //
+//   - Header geometry the scorer's circuit does not match (checkGeometry):
+//     returns the error before reading a frame.
 //   - Clean end of a complete trace: returns the totals with a nil error.
 //   - Truncated trace: returns the totals over the delivered frames with
 //     Stats.Truncated set and an error wrapping ErrTruncated; callers that
@@ -71,6 +73,9 @@ func Replay(ctx context.Context, r *Reader, scorer FrameScorer, opt PipelineOpti
 	defer span.End()
 	h := r.Header()
 	span.SetAttr("detectors", h.NumDetectors)
+	if err := checkGeometry(h, scorer); err != nil {
+		return Stats{}, err
+	}
 
 	p := NewPool(Config{
 		Workers:     opt.Workers,

@@ -63,9 +63,8 @@ func (c *Catalog) Len() int {
 	return len(c.m)
 }
 
-// Resolve returns the scorer for h's fingerprint, verifying the trace
-// geometry — detectors, observables and rounds per shot — against the
-// scorer's circuit when the scorer exposes it (as *mc.FrameDecoder does).
+// Resolve returns the scorer for h's fingerprint after checkGeometry
+// accepts h against it.
 func (c *Catalog) Resolve(h Header) (FrameScorer, error) {
 	c.mu.RLock()
 	s, ok := c.m[h.Fingerprint]
@@ -73,12 +72,23 @@ func (c *Catalog) Resolve(h Header) (FrameScorer, error) {
 	if !ok {
 		return nil, fmt.Errorf("stream: no decoder registered for circuit fingerprint %x", h.Fingerprint)
 	}
+	if err := checkGeometry(h, s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// checkGeometry verifies a trace header's geometry — detectors,
+// observables and rounds per shot — against the scorer's circuit when the
+// scorer exposes it (as *mc.FrameDecoder does). A frame wider than the
+// decoder's circuit would index past its detectors.
+func checkGeometry(h Header, s FrameScorer) error {
 	if dims, ok := s.(interface {
 		NumDetectors() int
 		NumObs() int
 	}); ok {
 		if dims.NumDetectors() != h.NumDetectors || dims.NumObs() != h.NumObs {
-			return nil, fmt.Errorf("stream: trace geometry (%d detectors, %d observables) does not match decoder (%d, %d)",
+			return fmt.Errorf("stream: trace geometry (%d detectors, %d observables) does not match decoder (%d, %d)",
 				h.NumDetectors, h.NumObs, dims.NumDetectors(), dims.NumObs())
 		}
 	}
@@ -90,10 +100,10 @@ func (c *Catalog) Resolve(h Header) (FrameScorer, error) {
 	// map governs the split.
 	if rd, ok := s.(interface{ NumRounds() int }); ok && h.Rounds > 0 {
 		if rd.NumRounds() != h.Rounds {
-			return nil, fmt.Errorf("stream: trace rounds/shot %d does not match decoder rounds %d", h.Rounds, rd.NumRounds())
+			return fmt.Errorf("stream: trace rounds/shot %d does not match decoder rounds %d", h.Rounds, rd.NumRounds())
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // Server ingests trace streams over any net.Listener and decodes every

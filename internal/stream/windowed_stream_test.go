@@ -128,3 +128,47 @@ func TestCatalogResolveRoundMismatch(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayRejectsMismatchedGeometry: a trace that keeps the circuit's
+// fingerprint but claims more detectors than the circuit has is refused by
+// Replay before any frame is scored, with the error Catalog.Resolve gives
+// the server, instead of indexing past the decoder's detectors.
+func TestReplayRejectsMismatchedGeometry(t *testing.T) {
+	spec := memorySpec(t, 3, 3e-3, 10)
+	eng := mc.New(mc.Options{})
+	fd, err := eng.FrameDecoder(spec.Circuit, decoder.KindUnionFind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wide = 32
+	if fd.NumDetectors() >= wide {
+		t.Fatalf("test vacuous: the circuit has %d detectors", fd.NumDetectors())
+	}
+	var buf bytes.Buffer
+	w, err := stream.NewWriter(&buf, stream.Header{
+		Fingerprint:  fd.CircuitFingerprint(),
+		NumDetectors: wide,
+		NumObs:       fd.NumObs(),
+		Shots:        100,
+		Rounds:       fd.NumRounds(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := w.WriteSyndrome([]int{wide - 5}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := stream.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := stream.Replay(context.Background(), r, fd, stream.PipelineOptions{Workers: 2, Metrics: obs.Discard})
+	if err == nil || !strings.Contains(err.Error(), "trace geometry (32 detectors, 1 observables) does not match decoder (24, 1)") {
+		t.Fatalf("Replay error = %v, want the geometry mismatch", err)
+	}
+	if stats != (stream.Stats{}) {
+		t.Fatalf("Replay scored frames of a mismatched trace: %+v", stats)
+	}
+}
