@@ -260,7 +260,7 @@ func BenchmarkGreedyDecode(b *testing.B) {
 // every Evaluate pays DEM extraction + graph construction) against the warm
 // path (shared engine, cache hit). The gap is the amortized setup cost the
 // mc engine's fingerprint cache saves across sweeps like FitLERModel;
-// scripts/bench_mc.sh caps cold at 8× warm (cold_warm_ratio).
+// cmd/benchgate caps cold at 8× warm (cold_warm_ratio).
 func BenchmarkEngineCachedSweep(b *testing.B) {
 	p := memoryCircuit(b, 5)
 	c, err := p.MemoryCircuit(code.MemoryOptions{Rounds: 5, Basis: lattice.BasisZ, Noise: code.UniformNoise(2e-3)})
@@ -302,7 +302,7 @@ func BenchmarkEngineCachedSweep(b *testing.B) {
 // per circuit (fresh engine each iteration); "warm" isolates the steady
 // state (caches primed, simulator/decoder pools populated), where allocs/op
 // is the number to watch. CI asserts batch-cold beats sequential-cold by at
-// least 1.0× on multi-core runners (scripts/bench_mc.sh).
+// least 1.0× on multi-core runners (cmd/benchgate).
 func BenchmarkEngineBatchSweep(b *testing.B) {
 	const (
 		patches = 8
@@ -372,7 +372,7 @@ func BenchmarkEngineBatchSweep(b *testing.B) {
 // monitor enabled. CI asserts the pipeline does not regress below the
 // serial baseline, that the windowed per-round p99 latency stays under
 // budget, and that the estimator costs at most a bounded fraction of
-// pipeline throughput (scripts/bench_mc.sh, BENCH_stream.json); frames/s
+// pipeline throughput (cmd/benchgate, BENCH_stream.json); frames/s
 // is the throughput trajectory number.
 func BenchmarkStreamReplay(b *testing.B) {
 	p := memoryCircuit(b, 3)
@@ -461,7 +461,7 @@ func BenchmarkStreamReplay(b *testing.B) {
 	// Sliding-window decoding over the same trace, with every IngestRound
 	// timed individually. round_p99_ns is the per-round decode latency the
 	// bounded-latency contract is about: the p99 across all rounds of all
-	// frames must stay under the budget scripts/bench_mc.sh enforces.
+	// frames must stay under the budget cmd/benchgate enforces.
 	b.Run("windowed", func(b *testing.B) {
 		b.ReportAllocs()
 		m, err := dem.FromCircuit(c)
@@ -525,7 +525,7 @@ func BenchmarkStreamReplay(b *testing.B) {
 	})
 	// The estimator variant re-runs the pipeline with drift monitoring on:
 	// the ns/op delta against "pipeline" is the estimator overhead the CI
-	// budget in scripts/bench_mc.sh bounds.
+	// budget in cmd/benchgate bounds.
 	b.Run("estimator", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -555,7 +555,7 @@ func BenchmarkStreamReplay(b *testing.B) {
 // sheds — every sent frame is decoded. frames/s is the aggregate decode
 // throughput; fleet_p99_ns is the p99 of the pool's decode-latency
 // histogram, whose samples are the per-frame means of claimed spans, and is
-// the SLO number scripts/bench_mc.sh gates in BENCH_stream.json
+// the SLO number cmd/benchgate gates in BENCH_stream.json
 // (fleet_p99_budget_ns).
 func BenchmarkFleetServe(b *testing.B) {
 	const (
@@ -745,7 +745,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 // BenchmarkLintRepo times one full caliqec-lint pass — load, type-check and
 // all analysis rules (CFG construction and dataflow included) over the whole
 // module. One op is exactly what the CI lint step pays; the budget in
-// scripts/bench_mc.sh keeps the flow-sensitive rule pack from turning the
+// cmd/benchgate keeps the flow-sensitive rule pack from turning the
 // lint gate into the slowest job in the pipeline. A nonzero finding count
 // fails the benchmark, so the perf gate doubles as a repo-clean check.
 func BenchmarkLintRepo(b *testing.B) {

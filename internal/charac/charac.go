@@ -139,9 +139,17 @@ func ProbeCrosstalk(dev *device.Device, gateID int, r *rng.RNG) []int {
 		}
 		frontier = next
 	}
+	// Draw over the candidates in ascending order: ranging over the map
+	// would hand each draw to a candidate in random order, so a fixed seed
+	// would not fix nbr(g).
+	qs := make([]int, 0, len(cand))
+	for q := range cand {
+		qs = append(qs, q)
+	}
+	sort.Ints(qs)
 	flips := map[int]int{}
 	for trial := 0; trial < crosstalkTrials; trial++ {
-		for q := range cand {
+		for _, q := range qs {
 			p := crosstalkBaseline
 			if truth[q] {
 				p = crosstalkBaseline + crosstalkFlipProb

@@ -6,6 +6,7 @@ import (
 	"caliqec/internal/noise"
 	"caliqec/internal/rng"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -123,6 +124,22 @@ func TestCharacterizeEndToEnd(t *testing.T) {
 		truth := dev.Gate(gc.GateID).CaliHours
 		if math.Abs(gc.CaliHours-truth)/truth > 0.06 {
 			t.Errorf("gate %d calibration time %.4f vs truth %.4f", gc.GateID, gc.CaliHours, truth)
+		}
+	}
+}
+
+// TestCharacterizeDeterministic pins the crosstalk probe's draw order: one
+// device characterized again and again from one seed must report the same
+// neighbourhood for every gate.
+func TestCharacterizeDeterministic(t *testing.T) {
+	dev := device.New(lattice.NewHeavyHex(5), device.Options{}, rng.New(1))
+	want := Characterize(dev, Options{}, rng.New(2))
+	for i := 0; i < 20; i++ {
+		got := Characterize(dev, Options{}, rng.New(2))
+		for j, g := range got.Gates {
+			if !slices.Equal(g.Nbr, want.Gates[j].Nbr) {
+				t.Fatalf("call %d: gate %d nbr %v, first call %v", i, g.GateID, g.Nbr, want.Gates[j].Nbr)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"caliqec/internal/code"
 	"caliqec/internal/dem"
 	"caliqec/internal/lattice"
+	"runtime/debug"
 	"testing"
 )
 
@@ -96,8 +97,11 @@ func TestNewUnionFindAllocsFlat(t *testing.T) {
 // it, carves the nodes' adjacency lists from one slab and the rounds' node
 // lists from another, and finds parallel mechanisms without a map, so it
 // allocates as often for a d=13 model as for a d=5 one. The calibration
-// loop builds a graph for every deformed circuit it sees.
+// loop builds a graph for every deformed circuit it sees. GC stays off
+// while it counts: under the race detector a collection cycle can add an
+// object to a run, and that count is not BuildGraph's.
 func TestBuildGraphAllocsFlat(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := map[int]float64{}
 	for _, d := range []int{5, 13} {
 		_, _, _, _, m := memCircuit(t, lattice.Square, d, d, 1e-3)
