@@ -33,7 +33,12 @@ import (
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	run := exp.All()[id]
+	var run exp.Runner
+	for _, e := range exp.All() {
+		if e.ID == id {
+			run = e.Run
+		}
+	}
 	if run == nil {
 		b.Fatalf("unknown experiment %q", id)
 	}

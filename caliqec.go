@@ -22,7 +22,7 @@
 // detector error models, union-find decoding) is available for measuring
 // actual logical error rates of pristine and deformed patches
 // (System.MeasureLER), and internal/exp regenerates every table and figure
-// of the paper (cmd/repro).
+// of the paper (`caliqec repro`).
 package caliqec
 
 import (

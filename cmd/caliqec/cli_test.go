@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"caliqec/internal/exp"
 	"caliqec/internal/obs"
 	"caliqec/internal/stream"
 )
@@ -345,7 +346,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{[]string{"instructions", "-h"}, 0, "Usage of instructions:"},
 		{[]string{"simulate", "-bogus"}, 2, "flag provided but not defined: -bogus"},
 		{[]string{"record", "-topology", "cube"}, 2, `invalid value "cube" for flag -topology: unknown topology "cube"`},
-		{[]string{"nosuch"}, 2, "usage: caliqec <characterize|schedule|run|simulate|record|replay|serve|loadgen|health|vet|instructions> [flags]\n"},
+		{[]string{"nosuch"}, 2, "usage: caliqec <characterize|schedule|run|simulate|record|replay|serve|loadgen|health|vet|instructions|repro> [flags]\n"},
 		{nil, 2, "usage: caliqec <"},
 		{[]string{"simulate", "-shots", "0"}, 1, "caliqec: mc: batch spec 0: mc: shots must be positive, got 0\n"},
 		{[]string{"record", "-d", "4", "-o", filepath.Join(t.TempDir(), "even.bin")}, 1, "caliqec: invalid distance 4 (want an odd integer ≥ 3)\n"},
@@ -369,5 +370,128 @@ func TestCLISimulateGolden(t *testing.T) {
 	}
 	if got := mustRun(t, "simulate", "-d", "3", "-p", "8e-3", "-shots", "20000", "-seed", "5"); got != string(want) {
 		t.Fatalf("simulate printed\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestCLISimulateProgress: the status lines of a batched sweep reach one
+// writer one at a time, so stderr needs no lock (the race detector checks
+// this), and each distance's last line carries its full budget.
+func TestCLISimulateProgress(t *testing.T) {
+	status, out, errOut := runCLI(t, "simulate", "-d", "3,5,7", "-shots", "20000", "-progress")
+	if status != 0 {
+		t.Fatalf("simulate exited %d\nstderr:\n%s", status, errOut)
+	}
+	if n := strings.Count(out, "\n"); n != 3 {
+		t.Errorf("simulate printed %d lines, want 3:\n%s", n, out)
+	}
+	for _, d := range []string{"3", "5", "7"} {
+		if !regexp.MustCompile(`(?:\r|\x1b\[K)d=` + d + `: 20000/20000 shots, \d+ failures`).MatchString(errOut) {
+			t.Errorf("no final d=%s status line in stderr %q", d, errOut)
+		}
+	}
+}
+
+// TestCLIReproList: -list prints the registry's IDs, one a line, in its
+// order.
+func TestCLIReproList(t *testing.T) {
+	var want strings.Builder
+	seen := map[string]bool{}
+	for _, e := range exp.All() {
+		if seen[e.ID] {
+			t.Errorf("experiment %q registered twice", e.ID)
+		}
+		seen[e.ID] = true
+		want.WriteString(e.ID + "\n")
+	}
+	if out := mustRun(t, "repro", "-list"); out != want.String() {
+		t.Errorf("repro -list printed\n%s\nwant\n%s", out, want.String())
+	}
+}
+
+// TestCLIReproErrors: an unknown experiment is a usage error; an
+// interrupted experiment stops before its report and exits 1 with the
+// cancellation, and the -metrics and -trace files are written anyway.
+func TestCLIReproErrors(t *testing.T) {
+	status, out, errOut := runCLI(t, "repro", "-exp", "nosuch")
+	if want := "unknown experiment \"nosuch\"; try -list\n"; status != 2 || out != "" || errOut != want {
+		t.Errorf("repro -exp nosuch: exit %d, stdout %q, stderr %q; want exit 2 with %q", status, out, errOut, want)
+	}
+
+	dir := t.TempDir()
+	metrics, trace := filepath.Join(dir, "metrics.json"), filepath.Join(dir, "trace.json")
+	b := startCLI(t, "repro", "-exp", "fit", "-progress", "-metrics", metrics, "-trace", trace)
+	b.await(t, b.stderr, `(\d+)/\d+ shots`)
+	if status := b.stop(t); status != 1 {
+		t.Errorf("interrupted repro exited %d, want 1", status)
+	}
+	if out := b.stdout.String(); out != "" {
+		t.Errorf("interrupted repro printed a report:\n%s", out)
+	}
+	if errOut := b.stderr.String(); !strings.HasSuffix(errOut, "caliqec: fit: context canceled\n") {
+		t.Errorf("interrupted repro stderr ends %q, want the cancellation", errOut)
+	}
+	checkObsFiles(t, metrics, trace, "exp.evalbatch")
+}
+
+// TestCLIReproObsFiles: -metrics and -trace are written when the
+// experiment succeeds too.
+func TestCLIReproObsFiles(t *testing.T) {
+	dir := t.TempDir()
+	metrics, trace := filepath.Join(dir, "metrics.json"), filepath.Join(dir, "trace.json")
+	mustRun(t, "repro", "-exp", "table1", "-metrics", metrics, "-trace", trace)
+	checkObsFiles(t, metrics, trace, "")
+}
+
+// checkObsFiles fails t unless metrics holds a JSON object and trace a
+// trace-event file, with a span named span unless span is empty.
+func checkObsFiles(t *testing.T, metrics, trace, span string) {
+	t.Helper()
+	var snap map[string]any
+	if raw, err := os.ReadFile(metrics); err != nil {
+		t.Error(err)
+	} else if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Errorf("metrics file: %v", err)
+	}
+	var tr struct {
+		TraceEvents []struct{ Name string } `json:"traceEvents"`
+	}
+	raw, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &tr); err != nil || tr.TraceEvents == nil {
+		t.Fatalf("trace file holds no traceEvents (%v):\n%.200s", err, raw)
+	}
+	if span == "" {
+		return
+	}
+	for _, ev := range tr.TraceEvents {
+		if ev.Name == span {
+			return
+		}
+	}
+	t.Errorf("trace holds %d events, none named %s", len(tr.TraceEvents), span)
+}
+
+// TestCLIReproArtifacts: the experiments that run in a fraction of a second
+// regenerate their committed results/ files byte for byte. CI's
+// repro-artifacts job compares the rest, whose runs take seconds.
+func TestCLIReproArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	for _, id := range []string{"fig1", "fig7", "fig9", "fig10", "fig11", "fig12", "table1", "localize", "drift-inject"} {
+		mustRun(t, "repro", "-exp", id, "-o", dir)
+		for _, name := range []string{id + ".json", id + ".csv"} {
+			want, err := os.ReadFile(filepath.Join("..", "..", "results", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("regenerated %s differs from results/%s", name, name)
+			}
+		}
 	}
 }

@@ -14,6 +14,7 @@
 //	caliqec health       -addr 127.0.0.1:8791        poll a replay/serve drift-health endpoint
 //	caliqec vet          -d 3                        static IR + deformation-log checks
 //	caliqec instructions                             print Table 1
+//	caliqec repro        -exp fig10 -o results       regenerate the paper's tables and figures
 //
 // Exit status: 0 on success or -h, 1 when the command fails, 2 on a bad
 // flag or an unknown subcommand.
@@ -61,6 +62,7 @@ var commands = []struct {
 	{"health", runHealth},
 	{"vet", runVet},
 	{"instructions", runInstructions},
+	{"repro", runRepro},
 }
 
 func main() {
@@ -354,6 +356,7 @@ func runSimulate(ctx context.Context, args []string, stdout, stderr io.Writer) (
 	defer s.finish(&err)
 	specs := make([]mc.Spec, len(ds))
 	roundsOf := make([]int, len(ds))
+	status := statusLine(stderr)
 	for i, d := range ds {
 		c, r, iso, err := memoryCircuit(*tp, d, *rounds, *p, *isolate)
 		if err != nil {
@@ -372,9 +375,8 @@ func runSimulate(ctx context.Context, args []string, stdout, stderr io.Writer) (
 			TargetFailures: *targetFails,
 		}
 		if *progress {
-			specs[i].Progress = func(done, failures int) {
-				fmt.Fprintf(stderr, "\rd=%d: %d/%d shots, %d failures", d, done, *shots, failures)
-			}
+			label := fmt.Sprintf("d=%d", d)
+			specs[i].Progress = func(done, failures int) { status(label, done, *shots, failures) }
 		}
 	}
 	results, err := mc.EvaluateBatch(ctx, specs)

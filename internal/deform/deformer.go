@@ -22,8 +22,6 @@ type LogEntry struct {
 type Deformer struct {
 	Patch *code.Patch
 	Log   []LogEntry
-	// Records mirrors Log with the outcome of each instruction.
-	Records []Record
 	// History is the append-only audit trail of every instruction ever
 	// issued, including OpReintegrate markers that Log drops when it is
 	// replayed. Unlike Log it is never rewritten by rebuilds, so
@@ -63,7 +61,6 @@ func (d *Deformer) ApplyQubit(op Op, q int, tag string) (*Record, error) {
 	e := LogEntry{Op: op, Row: qb.Row, Col: qb.Col, Tag: tag}
 	d.Log = append(d.Log, e)
 	d.History = append(d.History, e)
-	d.Records = append(d.Records, *rec)
 	return rec, nil
 }
 
@@ -153,11 +150,6 @@ func (d *Deformer) Enlarge(growRows bool) error {
 	}
 	d.Log = append(d.Log, LogEntry{Op: PatchQAD, Row: -1, Col: -1})
 	d.History = append(d.History, LogEntry{Op: PatchQAD, Row: -1, Col: -1})
-	d.Records = append(d.Records, Record{
-		Op: PatchQAD, Target: -1,
-		DistanceX: d.Patch.Distance(lattice.BasisX),
-		DistanceZ: d.Patch.Distance(lattice.BasisZ),
-	})
 	return nil
 }
 
@@ -214,12 +206,10 @@ func (d *Deformer) rebuild(rows, cols int, log []LogEntry) error {
 			return err
 		}
 		if e.Op == PatchQRM {
-			rec, err2 := PatchShrink(p, []int{q}, e.Basis)
-			if err2 != nil {
-				return err2
+			if _, err := PatchShrink(p, []int{q}, e.Basis); err != nil {
+				return err
 			}
 			nd.Log = append(nd.Log, e)
-			nd.Records = append(nd.Records, *rec)
 			continue
 		}
 		if _, err := nd.ApplyQubit(e.Op, q, e.Tag); err != nil {
@@ -231,7 +221,6 @@ func (d *Deformer) rebuild(rows, cols int, log []LogEntry) error {
 	}
 	d.Patch = nd.Patch
 	d.Log = nd.Log
-	d.Records = nd.Records
 	return nil
 }
 

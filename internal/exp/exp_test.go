@@ -20,23 +20,18 @@ func osStat(dir, name string) (os.FileInfo, error) {
 
 func run(t *testing.T, id string) *Report {
 	t.Helper()
-	rep, err := All()[id](context.Background(), 2025)
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
-	return rep
-}
-
-func TestRegistryComplete(t *testing.T) {
-	reg := All()
-	for _, id := range Order() {
-		if reg[id] == nil {
-			t.Errorf("experiment %q in Order but not registered", id)
+	for _, e := range All() {
+		if e.ID != id {
+			continue
 		}
+		rep, err := e.Run(context.Background(), 2025)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		return rep
 	}
-	if len(reg) != len(Order()) {
-		t.Errorf("registry has %d entries, Order has %d", len(reg), len(Order()))
-	}
+	t.Fatalf("unknown experiment %q", id)
+	return nil
 }
 
 func TestFig1Shape(t *testing.T) {

@@ -3,6 +3,7 @@ package exp
 import (
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,20 +33,11 @@ func (r *Report) WriteFiles(dir string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	w := csv.NewWriter(f)
+	rows := r.Rows
 	if len(r.Header) > 0 {
-		if err := w.Write(r.Header); err != nil {
-			return err
-		}
+		rows = append([][]string{r.Header}, rows...)
 	}
-	for _, row := range r.Rows {
-		if err := w.Write(row); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	return w.Error()
+	return errors.Join(csv.NewWriter(f).WriteAll(rows), f.Close())
 }
 
 // Summary returns a one-line digest of the report's key values.

@@ -8,16 +8,17 @@ import (
 
 // ProgressFunc receives live Monte-Carlo status while an experiment runs:
 // a human-readable label for the evaluation in flight, shots committed so
-// far, the shot budget, and failures counted. Calls are serialized by the
-// mc engine (never concurrent, strictly increasing shot counts, and a
-// guaranteed final call with the returned totals), but they arrive from
-// worker goroutines on the evaluation's critical path and must be fast.
+// far, the shot budget, and failures counted. The mc engine serializes the
+// calls of one evaluation or batch across all its labels (never concurrent,
+// strictly increasing shot counts per label, and a guaranteed final call
+// per label with the returned totals), but they arrive from worker
+// goroutines on the evaluation's critical path and must be fast.
 type ProgressFunc func(label string, shots, total, failures int)
 
 type progressKey struct{}
 
 // WithProgress returns a context whose Monte-Carlo experiments report live
-// status through fn (cmd/repro wires this to a status line).
+// status through fn (`caliqec repro -progress` wires this to a status line).
 func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {
 	return context.WithValue(ctx, progressKey{}, fn)
 }

@@ -1,8 +1,8 @@
 // Package exp regenerates every table and figure of the paper's evaluation
 // (the per-experiment index lives in DESIGN.md §4). Each experiment is a
 // function from a seed to a Report: a titled set of rendered rows plus
-// machine-readable series, so cmd/repro can print them and the test suite
-// can assert the paper's qualitative shapes.
+// machine-readable series, so `caliqec repro` can print them and the test
+// suite can assert the paper's qualitative shapes.
 package exp
 
 import (
@@ -89,41 +89,43 @@ func (r *Report) Render() string {
 	return sb.String()
 }
 
-// Experiment names and their runners. The context cancels long Monte-Carlo
-// sweeps mid-shot-batch (see internal/mc) and can carry a live progress
-// reporter (WithProgress).
+// Runner regenerates one experiment from a seed. The context cancels long
+// Monte-Carlo sweeps mid-shot-batch (see internal/mc) and can carry a live
+// progress reporter (WithProgress).
 type Runner func(ctx context.Context, seed uint64) (*Report, error)
 
-// All returns the experiment registry in paper order.
-func All() map[string]Runner {
-	return map[string]Runner{
-		"fig1":   Fig1Drift,
-		"fig7":   Fig7Grouping,
-		"fig9":   Fig9DriftDistribution,
-		"fig10":  Fig10LERTrajectory,
-		"fig11":  Fig11GroupingReduction,
-		"fig12":  Fig12SpaceTime,
-		"fig13":  Fig13RealDevice,
-		"table1": Table1Instructions,
-		"table2": Table2,
-		"fit":    FitLERModel,
-		"cycle":  CycleLER,
-
-		// Ablations of this reproduction's design choices.
-		"ablate-decoder":  AblateDecoder,
-		"ablate-deltad":   AblateDeltaD,
-		"ablate-priors":   AblatePriors,
-		"ablate-schedule": AblateSchedule,
-		"ablate-window":   AblateWindow,
-		"routing":         RoutingParallelism,
-		"localize":        LocalizeDrift,
-		"decode-cost":     DecodeCost,
-		"drift-inject":    DriftInject,
-	}
+// Experiment is one entry of the registry: the ID that names the artifact
+// (Report.ID, the results/ file stem) and its runner.
+type Experiment struct {
+	ID  string
+	Run Runner
 }
 
-// Order returns experiment IDs in presentation order.
-func Order() []string {
-	return []string{"fig1", "fig7", "fig9", "fig10", "fig11", "fig12", "fig13", "table1", "table2", "fit", "cycle",
-		"ablate-decoder", "ablate-deltad", "ablate-priors", "ablate-schedule", "ablate-window", "routing", "localize", "decode-cost", "drift-inject"}
+// All returns the experiment registry in presentation order: the paper's
+// figures and tables, then this reproduction's ablations and extensions.
+func All() []Experiment {
+	return []Experiment{
+		{"fig1", Fig1Drift},
+		{"fig7", Fig7Grouping},
+		{"fig9", Fig9DriftDistribution},
+		{"fig10", Fig10LERTrajectory},
+		{"fig11", Fig11GroupingReduction},
+		{"fig12", Fig12SpaceTime},
+		{"fig13", Fig13RealDevice},
+		{"table1", Table1Instructions},
+		{"table2", Table2},
+		{"fit", FitLERModel},
+		{"cycle", CycleLER},
+
+		// Ablations of this reproduction's design choices, and extensions.
+		{"ablate-decoder", AblateDecoder},
+		{"ablate-deltad", AblateDeltaD},
+		{"ablate-priors", AblatePriors},
+		{"ablate-schedule", AblateSchedule},
+		{"ablate-window", AblateWindow},
+		{"routing", RoutingParallelism},
+		{"localize", LocalizeDrift},
+		{"decode-cost", DecodeCost},
+		{"drift-inject", DriftInject},
+	}
 }

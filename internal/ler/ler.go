@@ -12,6 +12,7 @@
 package ler
 
 import (
+	"caliqec/internal/noise"
 	"caliqec/internal/rng"
 	"fmt"
 	"math"
@@ -24,7 +25,7 @@ type Model struct {
 }
 
 // PaperModel returns the constants the paper quotes (§5.2).
-func PaperModel() Model { return Model{Alpha: 0.03, Pth: 0.01} }
+func PaperModel() Model { return Model{Alpha: noise.Alpha, Pth: noise.Threshold} }
 
 // PerCycle returns the logical error rate per QEC cycle of a distance-d
 // patch at physical rate p, clamped to [0, 1].

@@ -10,7 +10,9 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // batchSpecs builds a mixed batch exercising every per-spec feature the
@@ -157,6 +159,32 @@ func TestBatchEmptyAndValidation(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "spec 1") {
 		t.Errorf("invalid spec error should name the index: %v", err)
+	}
+}
+
+// TestBatchProgressSerialized: the Progress calls of different specs in
+// one batch never overlap, so the specs may share one status-line writer.
+func TestBatchProgressSerialized(t *testing.T) {
+	c := memCircuit(t, 3, 3, 3e-3)
+	e := New(Options{Metrics: obs.NewRegistry(nil)})
+	var inFlight, overlaps, calls atomic.Int32
+	progress := func(shots, failures int) {
+		if inFlight.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		time.Sleep(50 * time.Microsecond) // hold the call open for a racing one to hit
+		calls.Add(1)
+		inFlight.Add(-1)
+	}
+	specs := []Spec{
+		{Circuit: c, Decoder: decoder.KindUnionFind, Shots: 32 * ChunkShots, Rounds: 3, Seed: 1, Workers: 4, Progress: progress},
+		{Circuit: c, Decoder: decoder.KindUnionFind, Shots: 32 * ChunkShots, Rounds: 3, Seed: 2, Workers: 4, Progress: progress},
+	}
+	if _, err := e.EvaluateBatch(context.Background(), specs); err != nil {
+		t.Fatal(err)
+	}
+	if n := overlaps.Load(); n > 0 {
+		t.Errorf("%d of %d progress calls overlapped another call", n, calls.Load())
 	}
 }
 

@@ -115,8 +115,8 @@ type Spec struct {
 	// not assume a particular goroutine and must be fast (it runs on the
 	// evaluation's critical path). When Evaluate returns without error, the
 	// final call is guaranteed to have carried the returned totals. In
-	// EvaluateBatch each spec's callback is serialized independently;
-	// callbacks of different specs may run concurrently.
+	// EvaluateBatch the calls of every spec share one lock, so callbacks of
+	// different specs never overlap either and may share a writer.
 	Progress func(shots, failures int)
 }
 
@@ -243,7 +243,8 @@ func (e *Engine) publishCacheStats() {
 // evalState is one spec's complete scheduling state inside the shared chunk
 // scheduler: its chunk seeds, completed-chunk records, committed-prefix
 // accumulator, early-stop bound and progress guard. All fields except the
-// progress guard are protected by the scheduler's mutex.
+// progress guard are protected by the scheduler's mutex; the guard is
+// protected by the batch's progress mutex.
 type evalState struct {
 	spec  Spec
 	prior *circuit.Circuit // resolved prior (spec.Prior or spec.Circuit)
@@ -266,11 +267,10 @@ type evalState struct {
 	done     chan struct{}
 	doneOnce sync.Once
 
-	// Progress serialization: workers snapshot committed totals under the
+	// Progress guard: workers snapshot committed totals under the
 	// scheduler mutex and may race to deliver them; the monotonic guard
 	// drops a snapshot that lost the race so the callback sees strictly
 	// increasing shot counts.
-	progressMu    sync.Mutex
 	reportedShots int
 }
 
@@ -282,13 +282,14 @@ type chunkState struct {
 
 func (st *evalState) closeDone() { st.doneOnce.Do(func() { close(st.done) }) }
 
-// report delivers a progress snapshot, deduplicating stale racers.
-func (st *evalState) report(shots, failures int) {
+// report delivers a progress snapshot under mu, the batch's progress
+// mutex, deduplicating stale racers.
+func (st *evalState) report(mu *sync.Mutex, shots, failures int) {
 	if st.spec.Progress == nil {
 		return
 	}
-	st.progressMu.Lock()
-	defer st.progressMu.Unlock()
+	mu.Lock()
+	defer mu.Unlock()
 	if shots <= st.reportedShots {
 		return
 	}
@@ -510,6 +511,9 @@ func (e *Engine) runStates(ctx context.Context, states []*evalState) error {
 		cursor  int // round-robin position over states
 		busy    int
 		evalErr error
+		// progressMu serializes the Progress calls of every state, so
+		// specs of one batch never call back concurrently.
+		progressMu sync.Mutex
 	)
 	// claimLocked picks the next needed span: a run of consecutive chunks
 	// from one state, sized to divide that state's remaining chunks evenly
@@ -610,7 +614,7 @@ func (e *Engine) runStates(ctx context.Context, states []*evalState) error {
 					}
 					mu.Unlock()
 					if progressed {
-						st.report(snapShots, snapFails)
+						st.report(&progressMu, snapShots, snapFails)
 					}
 				}
 			}
@@ -624,7 +628,7 @@ func (e *Engine) runStates(ctx context.Context, states []*evalState) error {
 	// the delivery race, so guarantee each callback's final call carries the
 	// committed totals (the monotonic guard deduplicates if it already did).
 	for _, st := range states {
-		st.report(st.accShots, st.accFails)
+		st.report(&progressMu, st.accShots, st.accFails)
 	}
 	return nil
 }

@@ -9,7 +9,7 @@
 // behind a single return value. This package makes those runs observable:
 // shot throughput, cache behaviour, per-chunk decode latency and
 // calibration-session timelines all surface as named metrics and spans
-// that cmd/caliqec and cmd/repro can dump to files or serve over HTTP.
+// that every cmd/caliqec subcommand can dump to files or serve over HTTP.
 //
 // Contracts:
 //

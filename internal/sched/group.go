@@ -7,6 +7,7 @@
 package sched
 
 import (
+	"caliqec/internal/ler"
 	"caliqec/internal/noise"
 	"fmt"
 	"math"
@@ -146,7 +147,7 @@ func PTarget(d int, lerTar, alpha, pth float64) (float64, error) {
 	if d < 3 || lerTar <= 0 {
 		return 0, fmt.Errorf("sched: invalid PTarget inputs d=%d lerTar=%g", d, lerTar)
 	}
-	p := pth * math.Pow(lerTar/alpha, 2/float64(d+1))
+	p := ler.Model{Alpha: alpha, Pth: pth}.PTarget(d, lerTar)
 	if p >= pth {
 		return 0, fmt.Errorf("sched: distance %d cannot reach LER %g below threshold (needs p_tar=%.3g ≥ p_th)", d, lerTar, p)
 	}

@@ -90,10 +90,10 @@ func TestFrameMatchesBinomial(t *testing.T) {
 	}
 }
 
-// TestFrameVsTableauStatistics cross-validates the two simulators: inject
-// depolarizing noise in a small stabilizer round and compare detector
-// firing rates. The tableau runs the gates exactly (per-shot) with manual
-// error injection driven by the same probabilities.
+// TestFrameRepCodeRates samples a 4-round distance-3 repetition code with
+// X_ERROR(p) on every data qubit each round and checks one middle-round
+// detector's firing rate against 2p(1-p). It runs the frame simulator only;
+// no tableau cross-check is involved.
 func TestFrameRepCodeRates(t *testing.T) {
 	p := 0.02
 	rounds := 4

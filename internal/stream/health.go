@@ -165,7 +165,6 @@ type Monitor struct {
 	evTotal     *obs.Counter   // stream.drift.events
 	evFire      *obs.Counter   // stream.drift.events.fire_rate
 	evLER       *obs.Counter   // stream.drift.events.ler
-	qubitGauge  *obs.Gauge     // stream.drift.qubits.<stream>
 	finalizeLat *obs.Histogram // stream.estimator.update.latency
 
 	mu        sync.Mutex
@@ -210,7 +209,6 @@ func NewMonitor(cfg EstimatorConfig, scorer FrameScorer, h Header, reg *obs.Regi
 		evTotal:     reg.Counter("stream.drift.events"),
 		evFire:      reg.Counter("stream.drift.events.fire_rate"),
 		evLER:       reg.Counter("stream.drift.events.ler"),
-		qubitGauge:  reg.Gauge("stream.drift.qubits." + cfg.Stream),
 		finalizeLat: reg.Histogram("stream.estimator.update.latency"),
 		buckets:     map[int64]*windowBucket{},
 		est:         make([]obs.RateEstimator, h.NumDetectors),
@@ -443,7 +441,6 @@ func (m *Monitor) finalizeWindow(b *windowBucket, wsize int64) {
 			}, m.evLER)
 		}
 	}
-	m.qubitGauge.Set(float64(len(m.driftingQubitsLocked())))
 }
 
 // emit records one drift event: counters, then the sink (non-blocking; a

@@ -133,9 +133,9 @@ type Server struct {
 // resolve (typically Catalog.Resolve). Metrics land in cfg.Metrics. Every
 // connection's stream is named "conn-1", "conn-2", ...; when
 // cfg.Estimator.Window > 0 its drift monitor registers under that name in
-// cfg.Estimator.Health. Note each monitored name adds a
-// stream.drift.qubits.<name> gauge to the registry, so a long-lived server
-// with monitoring on accumulates one gauge per connection.
+// cfg.Estimator.Health, where it stays after the connection closes, so a
+// long-lived server with monitoring on accumulates one monitor per
+// connection.
 func NewServer(cfg Config, resolve func(Header) (FrameScorer, error)) *Server {
 	p := NewPool(cfg)
 	return &Server{
