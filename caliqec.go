@@ -51,16 +51,12 @@ const (
 	HeavyHex = lattice.HeavyHex // IBM-class heavy-hexagon lattice
 )
 
-// Options configures NewSystem.
+// Options configures NewSystem. The device follows the paper's
+// current-hardware drift model (log-normal, mean 14.08 h) and calibration
+// runs under the paper's Δd budget, sched.DefaultDeltaD.
 type Options struct {
-	// DriftModel is the device drift-constant distribution; zero value
-	// uses the paper's current-hardware model (log-normal, mean 14.08 h).
-	DriftModel noise.Model
 	// Seed makes the whole pipeline deterministic.
 	Seed uint64
-	// DeltaD is the maximum tolerable distance loss during calibration
-	// (paper §7.3 uses 4; default 4).
-	DeltaD int
 }
 
 // System is one logical patch plus its underlying device and the live
@@ -84,12 +80,9 @@ func NewSystem(tp Topology, d int, opt Options) (*System, error) {
 	if d < 3 || d%2 == 0 {
 		return nil, fmt.Errorf("caliqec: distance must be odd and ≥ 3, got %d", d)
 	}
-	if opt.DeltaD == 0 {
-		opt.DeltaD = 4
-	}
 	r := rng.New(opt.Seed ^ 0xca11bec)
 	lat := lattice.New(tp, d, d)
-	dev := device.New(lat, device.Options{Model: opt.DriftModel}, r.Split())
+	dev := device.New(lat, r.Split())
 	patch := code.NewPatch(lat)
 	return &System{
 		Topology: tp,
@@ -104,7 +97,7 @@ func NewSystem(tp Topology, d int, opt Options) (*System, error) {
 // Characterize runs the preparation stage: simulated interleaved RB per
 // gate, drift-law fitting, crosstalk probing and calibration timing.
 func (s *System) Characterize() *charac.Characterization {
-	return charac.Characterize(s.Device, charac.Options{}, s.rng.Split())
+	return charac.Characterize(s.Device, s.rng.Split())
 }
 
 // Plan is the compile-time output: the calibration grouping and the
@@ -169,11 +162,11 @@ type IntervalReport struct {
 
 // RunInterval executes the n-th calibration interval (1-indexed) against
 // the live patch: the due gates are clustered and batched under the Δd
-// budget; each batch's regions are isolated via the instruction set, the
-// gates calibrated on the device, and the regions reintegrated. If a batch
-// costs code distance, the patch is enlarged (PatchQ_AD) for its duration
-// and shrunk back afterwards. It is RunIntervalContext with a background
-// context.
+// budget sched.DefaultDeltaD; each batch's regions are isolated via the
+// instruction set, the gates calibrated on the device, and the regions
+// reintegrated. If a batch costs code distance, the patch is enlarged
+// (PatchQ_AD) for its duration and shrunk back afterwards. It is
+// RunIntervalContext with a background context.
 func (s *System) RunInterval(plan *Plan, n int, nowHours float64) (*IntervalReport, error) {
 	return s.RunIntervalContext(context.Background(), plan, n, nowHours)
 }
@@ -188,7 +181,7 @@ func (s *System) RunIntervalContext(ctx context.Context, plan *Plan, n int, nowH
 	ctx, span := obs.StartSpan(ctx, "caliqec.interval")
 	defer span.End()
 	span.SetAttr("interval", n)
-	span.SetAttr("delta_d", s.Options.DeltaD)
+	span.SetAttr("delta_d", sched.DefaultDeltaD)
 	rep := &IntervalReport{Interval: n}
 	due := plan.Grouping.DueGates(n)
 	rep.DueGates = due
@@ -205,7 +198,7 @@ func (s *System) RunIntervalContext(ctx context.Context, plan *Plan, n int, nowH
 		qb := s.Deformer.Patch.Lat.Qubit(q)
 		return qb.Row / 4, qb.Col / 4
 	}}
-	schedule, err := sched.BuildSchedule(tasks, sched.StrategyAdaptive, nil, lossEst, s.Options.DeltaD)
+	schedule, err := sched.BuildSchedule(tasks, sched.StrategyAdaptive, lossEst, sched.DefaultDeltaD)
 	if err != nil {
 		return nil, err
 	}

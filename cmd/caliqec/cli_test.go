@@ -373,6 +373,30 @@ func TestCLISimulateGolden(t *testing.T) {
 	}
 }
 
+// TestCLIGoldens: characterize, schedule and run print the committed
+// golden bytes for their default seeds.
+func TestCLIGoldens(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"characterize_hex_d5.golden", []string{"characterize", "-topology", "hex", "-d", "5", "-limit", "0"}},
+		{"schedule_d5.golden", []string{"schedule", "-d", "5"}},
+		{"run_d3_shots2000.golden", []string{"run", "-d", "3", "-shots", "2000"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.args[0], func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mustRun(t, tc.args...); got != string(want) {
+				t.Fatalf("caliqec %s printed\n%s\nwant\n%s", strings.Join(tc.args, " "), got, want)
+			}
+		})
+	}
+}
+
 // TestCLISimulateProgress: the status lines of a batched sweep reach one
 // writer one at a time, so stderr needs no lock (the race detector checks
 // this), and each distance's last line carries its full budget.

@@ -26,9 +26,10 @@ import (
 func main() {
 	r := rng.New(7)
 	lat := lattice.NewHeavyHex(7)
-	dev := device.New(lat, device.Options{}, r)
+	dev := device.New(lat, r)
+	model := noise.CurrentModel()
 	fmt.Printf("synthetic Eagle-class device: %d qubits, %d gates, drift model %q (mean %.2f h)\n\n",
-		lat.NumQubits(), len(dev.Gates), dev.Model.Name, dev.Model.MeanHours)
+		lat.NumQubits(), len(dev.Gates), model.Name, model.MeanHours)
 
 	// Fig. 1: fraction of gates above threshold vs time.
 	fmt.Println("drift without calibration (threshold = 1%):")
@@ -42,14 +43,14 @@ func main() {
 	// compare with the hidden ground truth.
 	fmt.Println("\ninterleaved-RB drift estimation (estimate vs ground truth):")
 	for _, id := range []int{0, 10, 20} {
-		est := charac.EstimateDrift(dev, id, 12, r)
+		est := charac.EstimateDrift(dev, id, r)
 		truth := dev.Gate(id).Drift
 		fmt.Printf("  gate %-3d T_drift: %.1f h (true %.1f h), p0: %.2g (true %.2g)\n",
 			id, est.TDrift, truth.TDrift, est.P0, truth.P0)
 	}
 
 	// Fig. 11: adaptive grouping vs uniform calibration over a week.
-	ch := charac.Characterize(dev, charac.Options{HorizonHours: 10}, r)
+	ch := charac.Characterize(dev, r)
 	pTar := noise.InitialErrorRate * math.Pow(10, 0.5)
 	var profiles []sched.GateProfile
 	for _, gc := range ch.Gates {

@@ -69,10 +69,18 @@ func InterleavedRB(trueErr float64, lengths []int, shots int, r *rng.RNG) float6
 	return p
 }
 
+// horizonHours is the drift-measurement window: EstimateDrift measures
+// every hour from 0 to horizonHours inclusive.
+const horizonHours = 12
+
+// caliTimingJitter is the relative measurement error on calibration
+// durations.
+const caliTimingJitter = 0.05
+
 // EstimateDrift performs hourly interleaved-RB measurements of a gate over
-// the given horizon and fits the exponential drift law, returning the
-// estimated drift parameters.
-func EstimateDrift(dev *device.Device, gateID int, horizonHours int, r *rng.RNG) noise.Drift {
+// horizonHours and fits the exponential drift law, returning the estimated
+// drift parameters.
+func EstimateDrift(dev *device.Device, gateID int, r *rng.RNG) noise.Drift {
 	g := dev.Gate(gateID)
 	var ts, logps []float64
 	for h := 0; h <= horizonHours; h++ {
@@ -94,7 +102,7 @@ func EstimateDrift(dev *device.Device, gateID int, horizonHours int, r *rng.RNG)
 	d := noise.Drift{P0: math.Pow(10, intercept), TDrift: 1 / slope}
 	if slope <= 0 || math.IsInf(d.TDrift, 0) || d.TDrift <= 0 {
 		// No measurable drift within the horizon: report a very slow gate.
-		d.TDrift = 10 * float64(horizonHours)
+		d.TDrift = 10 * horizonHours
 		d.P0 = math.Pow(10, rng.Mean(logps))
 	}
 	return d
@@ -190,32 +198,17 @@ type Characterization struct {
 	Gates []GateCharacterization
 }
 
-// Options configures Characterize.
-type Options struct {
-	// HorizonHours is the drift-measurement window (default 12).
-	HorizonHours int
-	// CaliTimingJitter is the relative measurement error on calibration
-	// durations (default 0.05).
-	CaliTimingJitter float64
-}
-
 // Characterize runs the full preparation stage against a device.
-func Characterize(dev *device.Device, opt Options, r *rng.RNG) *Characterization {
-	if opt.HorizonHours == 0 {
-		opt.HorizonHours = 12
-	}
-	if opt.CaliTimingJitter == 0 { //lint:allow floateq the zero value means "unset", an exact sentinel never produced by arithmetic
-		opt.CaliTimingJitter = 0.05
-	}
+func Characterize(dev *device.Device, r *rng.RNG) *Characterization {
 	out := &Characterization{}
 	for i := range dev.Gates {
 		g := &dev.Gates[i]
 		gc := GateCharacterization{
 			GateID: g.ID,
-			Drift:  EstimateDrift(dev, g.ID, opt.HorizonHours, r),
+			Drift:  EstimateDrift(dev, g.ID, r),
 			Nbr:    ProbeCrosstalk(dev, g.ID, r),
 		}
-		gc.CaliHours = g.CaliHours * (1 + opt.CaliTimingJitter*(2*r.Float64()-1))
+		gc.CaliHours = g.CaliHours * (1 + caliTimingJitter*(2*r.Float64()-1))
 		out.Gates = append(out.Gates, gc)
 	}
 	return out

@@ -28,10 +28,10 @@ func TestInterleavedRBRecoversError(t *testing.T) {
 func TestEstimateDriftRecoversConstant(t *testing.T) {
 	lat := lattice.NewSquare(3)
 	r := rng.New(7)
-	dev := device.New(lat, device.Options{}, r)
+	dev := device.New(lat, r)
 	// Fix a known drift for gate 0.
 	dev.Gates[0].Drift = noise.Drift{P0: 1e-3, TDrift: 9}
-	est := EstimateDrift(dev, 0, 12, r)
+	est := EstimateDrift(dev, 0, r)
 	if math.Abs(est.TDrift-9)/9 > 0.35 {
 		t.Errorf("estimated T_drift %.2fh, want ≈9h", est.TDrift)
 	}
@@ -43,9 +43,9 @@ func TestEstimateDriftRecoversConstant(t *testing.T) {
 func TestEstimateDriftSlowGate(t *testing.T) {
 	lat := lattice.NewSquare(3)
 	r := rng.New(8)
-	dev := device.New(lat, device.Options{}, r)
+	dev := device.New(lat, r)
 	dev.Gates[0].Drift = noise.Drift{P0: 1e-3, TDrift: 500} // nearly static
-	est := EstimateDrift(dev, 0, 12, r)
+	est := EstimateDrift(dev, 0, r)
 	if est.TDrift < 24 {
 		t.Errorf("nearly-static gate estimated at T=%.1fh; should report slow drift", est.TDrift)
 	}
@@ -54,7 +54,7 @@ func TestEstimateDriftSlowGate(t *testing.T) {
 func TestProbeCrosstalkFindsNeighbourhood(t *testing.T) {
 	lat := lattice.NewSquare(5)
 	r := rng.New(3)
-	dev := device.New(lat, device.Options{}, r)
+	dev := device.New(lat, r)
 	hits, misses, spurious := 0, 0, 0
 	for i := 0; i < 20; i++ {
 		g := &dev.Gates[i]
@@ -94,8 +94,8 @@ func TestProbeCrosstalkFindsNeighbourhood(t *testing.T) {
 func TestCharacterizeEndToEnd(t *testing.T) {
 	lat := lattice.NewSquare(3)
 	r := rng.New(11)
-	dev := device.New(lat, device.Options{}, r)
-	ch := Characterize(dev, Options{HorizonHours: 10}, r)
+	dev := device.New(lat, r)
+	ch := Characterize(dev, r)
 	if len(ch.Gates) != len(dev.Gates) {
 		t.Fatalf("characterized %d gates, want %d", len(ch.Gates), len(dev.Gates))
 	}
@@ -132,10 +132,10 @@ func TestCharacterizeEndToEnd(t *testing.T) {
 // device characterized again and again from one seed must report the same
 // neighbourhood for every gate.
 func TestCharacterizeDeterministic(t *testing.T) {
-	dev := device.New(lattice.NewHeavyHex(5), device.Options{}, rng.New(1))
-	want := Characterize(dev, Options{}, rng.New(2))
+	dev := device.New(lattice.NewHeavyHex(5), rng.New(1))
+	want := Characterize(dev, rng.New(2))
 	for i := 0; i < 20; i++ {
-		got := Characterize(dev, Options{}, rng.New(2))
+		got := Characterize(dev, rng.New(2))
 		for j, g := range got.Gates {
 			if !slices.Equal(g.Nbr, want.Gates[j].Nbr) {
 				t.Fatalf("call %d: gate %d nbr %v, first call %v", i, g.GateID, g.Nbr, want.Gates[j].Nbr)

@@ -51,7 +51,7 @@ func Summarize(shots, failures, rounds int) Result {
 	res := Result{Shots: shots, Failures: failures, Rounds: rounds}
 	if shots > 0 {
 		res.LER = float64(failures) / float64(shots)
-		res.WilsonLo, res.WilsonHi = rng.WilsonInterval(failures, shots)
+		res.WilsonLo, res.WilsonHi = rng.WilsonInterval(int64(failures), int64(shots), 1.96)
 	}
 	if rounds > 0 && res.LER < 1 {
 		// Per-round rate from total failure probability:

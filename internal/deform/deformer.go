@@ -49,8 +49,6 @@ func (d *Deformer) QubitAt(row, col int) (int, error) {
 	return -1, fmt.Errorf("deform: no qubit at (%d,%d)", row, col)
 }
 
-func (d *Deformer) qubitAt(row, col int) (int, error) { return d.QubitAt(row, col) }
-
 // ApplyQubit applies op to qubit ID q and appends it to the log.
 func (d *Deformer) ApplyQubit(op Op, q int, tag string) (*Record, error) {
 	rec, err := Apply(d.Patch, op, q)
@@ -201,7 +199,7 @@ func (d *Deformer) rebuild(rows, cols int, log []LogEntry) error {
 			nd.Log = append(nd.Log, e)
 			continue
 		}
-		q, err := nd.qubitAt(e.Row, e.Col)
+		q, err := nd.QubitAt(e.Row, e.Col)
 		if err != nil {
 			return err
 		}

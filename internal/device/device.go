@@ -66,58 +66,38 @@ func (g *Gate) ErrorRate(t float64) float64 {
 type Device struct {
 	Lat   *lattice.Lattice
 	Gates []Gate
-	Model noise.Model
 }
 
-// Options configures device synthesis.
-type Options struct {
-	Model noise.Model // drift-constant distribution
-	// P0 is the freshly calibrated error rate (default
-	// noise.InitialErrorRate).
-	P0 float64
-	// CaliMinHours/CaliMaxHours bound per-gate calibration durations
-	// (default 2–10 minutes, "individual gate calibration takes a few
-	// minutes", §4).
-	CaliMinHours, CaliMaxHours float64
-	// ExtraNbrProb adds each second-shell qubit to a gate's crosstalk set
-	// with this probability (default 0.15), modelling the irregular
-	// TLS-induced couplings the Fig. 6 probe discovers.
-	ExtraNbrProb float64
-}
-
-func (o *Options) fill() {
-	if o.Model.MeanHours == 0 { //lint:allow floateq zero MeanHours marks an unset noise model, an exact sentinel
-		o.Model = noise.CurrentModel()
-	}
-	defaultFloat(&o.P0, noise.InitialErrorRate)
-	defaultFloat(&o.CaliMinHours, 2.0/60)
-	defaultFloat(&o.CaliMaxHours, 10.0/60)
-	defaultFloat(&o.ExtraNbrProb, 0.15)
-}
-
-// defaultFloat assigns d to *v when the field was left at its zero value.
-func defaultFloat(v *float64, d float64) {
-	if *v == 0 { //lint:allow floateq the zero value means "unset", an exact sentinel never produced by arithmetic
-		*v = d
-	}
-}
+// Synthesis constants. Drift constants follow noise.CurrentModel() and
+// every gate starts at noise.InitialErrorRate.
+const (
+	// caliMinHours and caliMaxHours bound the uniformly drawn per-gate
+	// calibration duration: 2–10 minutes ("individual gate calibration
+	// takes a few minutes", §4).
+	caliMinHours float64 = 2.0 / 60
+	caliMaxHours float64 = 10.0 / 60
+	// extraNbrProb adds each second-shell qubit to a gate's crosstalk set
+	// with this probability, modelling the irregular TLS-induced couplings
+	// the Fig. 6 probe discovers.
+	extraNbrProb = 0.15
+)
 
 // New synthesizes a device over lat: one single-qubit gate per qubit and
 // one two-qubit gate per coupling-graph edge, each with independently
 // sampled drift constants and crosstalk neighbourhoods.
-func New(lat *lattice.Lattice, opt Options, r *rng.RNG) *Device {
-	opt.fill()
-	d := &Device{Lat: lat, Model: opt.Model}
+func New(lat *lattice.Lattice, r *rng.RNG) *Device {
+	model := noise.CurrentModel()
+	d := &Device{Lat: lat}
 	addGate := func(kind GateKind, qubits []int) {
 		g := Gate{
 			ID:     len(d.Gates),
 			Kind:   kind,
 			Qubits: qubits,
 			Drift: noise.Drift{
-				P0:     opt.P0,
-				TDrift: opt.Model.SampleTDrift(r),
+				P0:     noise.InitialErrorRate,
+				TDrift: model.SampleTDrift(r),
 			},
-			CaliHours: opt.CaliMinHours + r.Float64()*(opt.CaliMaxHours-opt.CaliMinHours),
+			CaliHours: caliMinHours + r.Float64()*(caliMaxHours-caliMinHours),
 		}
 		// Crosstalk neighbourhood: own qubits, all coupled neighbours, and
 		// a random sprinkle of second-shell qubits.
@@ -127,7 +107,7 @@ func New(lat *lattice.Lattice, opt Options, r *rng.RNG) *Device {
 			for _, x := range lat.Neighbors(q) {
 				nbr[x] = true
 				for _, y := range lat.Neighbors(x) {
-					if !nbr[y] && r.Bernoulli(opt.ExtraNbrProb) {
+					if !nbr[y] && r.Bernoulli(extraNbrProb) {
 						nbr[y] = true
 					}
 				}

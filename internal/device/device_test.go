@@ -9,7 +9,7 @@ import (
 
 func TestDeviceSynthesis(t *testing.T) {
 	lat := lattice.NewSquare(5)
-	dev := New(lat, Options{}, rng.New(1))
+	dev := New(lat, rng.New(1))
 	// One 1Q gate per qubit plus one 2Q gate per coupling edge.
 	n1, n2 := 0, 0
 	for i := range dev.Gates {
@@ -54,7 +54,7 @@ func TestDeviceSynthesis(t *testing.T) {
 }
 
 func TestCalibrationResetsDrift(t *testing.T) {
-	dev := New(lattice.NewSquare(3), Options{}, rng.New(2))
+	dev := New(lattice.NewSquare(3), rng.New(2))
 	g := dev.Gate(0)
 	p12 := g.ErrorRate(12)
 	if p12 <= g.Drift.P0 {
@@ -70,7 +70,7 @@ func TestCalibrationResetsDrift(t *testing.T) {
 }
 
 func TestFractionAboveMonotone(t *testing.T) {
-	dev := New(lattice.NewHeavyHex(5), Options{}, rng.New(3))
+	dev := New(lattice.NewHeavyHex(5), rng.New(3))
 	prev := -1.0
 	for _, h := range []float64{0, 6, 12, 24, 48} {
 		f := dev.FractionAbove(h, noise.Threshold)
@@ -88,7 +88,7 @@ func TestFractionAboveMonotone(t *testing.T) {
 }
 
 func TestNoiseAtLowersToMap(t *testing.T) {
-	dev := New(lattice.NewSquare(3), Options{}, rng.New(4))
+	dev := New(lattice.NewSquare(3), rng.New(4))
 	m := dev.NoiseAt(10)
 	// Every qubit has an explicit 1Q rate above p0.
 	for q := 0; q < dev.Lat.NumQubits(); q++ {
@@ -111,7 +111,7 @@ func TestNoiseAtLowersToMap(t *testing.T) {
 }
 
 func TestGatesOnQubit(t *testing.T) {
-	dev := New(lattice.NewSquare(3), Options{}, rng.New(5))
+	dev := New(lattice.NewSquare(3), rng.New(5))
 	gs := dev.GatesOnQubit(0)
 	if len(gs) < 2 { // its 1Q gate plus at least one coupler
 		t.Errorf("qubit 0 has %d gates", len(gs))

@@ -19,13 +19,13 @@ import (
 func Fig1Drift(_ context.Context, seed uint64) (*Report, error) {
 	r := rng.New(seed)
 	lat := lattice.NewHeavyHex(7) // 127-qubit-class heavy-hex slab
-	dev := device.New(lat, device.Options{}, r)
+	dev := device.New(lat, r)
 	rep := &Report{
 		ID:     "fig1",
 		Title:  "Error drift: fraction of gates above threshold over 24 h",
 		Header: []string{"hour", "no-cal frac>th", "no-cal mean p", "calibrated frac>th"},
 	}
-	devCal := device.New(lat, device.Options{}, rng.New(seed)) // identical twin, calibrated every 4 h
+	devCal := device.New(lat, rng.New(seed)) // identical twin, calibrated every 4 h
 	const calPeriod = 4.0
 	for h := 0; h <= 24; h += 2 {
 		t := float64(h)
@@ -275,15 +275,15 @@ func Fig12SpaceTime(_ context.Context, seed uint64) (*Report, error) {
 		r := rng.New(seed + uint64(d))
 		tasks := syntheticTasks(d, r)
 		lossEst := sched.SumDiameterLoss{Coord: func(q int) (int, int) { return q / d, q % d }}
-		seq, err := sched.BuildSchedule(tasks, sched.StrategySequential, nil, lossEst, 0)
+		seq, err := sched.BuildSchedule(tasks, sched.StrategySequential, lossEst, 0)
 		if err != nil {
 			return nil, err
 		}
-		bulk, err := sched.BuildSchedule(tasks, sched.StrategyBulk, nil, lossEst, 0)
+		bulk, err := sched.BuildSchedule(tasks, sched.StrategyBulk, lossEst, 0)
 		if err != nil {
 			return nil, err
 		}
-		adp, err := sched.BuildSchedule(tasks, sched.StrategyAdaptive, nil, lossEst, 32)
+		adp, err := sched.BuildSchedule(tasks, sched.StrategyAdaptive, lossEst, 32)
 		if err != nil {
 			return nil, err
 		}

@@ -65,8 +65,7 @@ func table2Rows() []table2Row {
 
 // Table2 regenerates the paper's Table 2: every benchmark × distance row
 // under the three strategies, reporting physical qubits, execution time and
-// retry risk. Long-horizon rows use a coarser simulation step to bound
-// wall-clock time.
+// retry risk.
 func Table2(ctx context.Context, seed uint64) (*Report, error) {
 	rep := &Report{
 		ID:    "table2",
@@ -87,12 +86,6 @@ func Table2(ctx context.Context, seed uint64) (*Report, error) {
 			Model:       row.model,
 			RetryTarget: row.target,
 			Seed:        seed + uint64(i)*101,
-		}
-		// Bound simulation work on multi-week programs.
-		horizon := rowHorizon(row)
-		if horizon > 200 {
-			cfg.StepHours = horizon / 600
-			cfg.SamplePatches = 12
 		}
 		var res [3]*runtime.Result
 		for si, strat := range []runtime.Strategy{runtime.StrategyNoCal, runtime.StrategyLSC, runtime.StrategyCaliQEC} {
@@ -122,10 +115,6 @@ func Table2(ctx context.Context, seed uint64) (*Report, error) {
 	rep.AddNote("paper §8.1: LSC +363%% qubits, ~+20%% time; CaliQEC +24%% qubits, no time overhead, −79.4%% retry risk vs LSC")
 	rep.AddNote("no-calibration rows approach 100%% retry risk in both the paper and this reproduction")
 	return rep, nil
-}
-
-func rowHorizon(row table2Row) float64 {
-	return row.prog.LogicalOps() * float64(row.d) / row.prog.Parallelism * 1e-6 / 3600
 }
 
 func fmtRisk(r float64) string {

@@ -29,7 +29,7 @@ func batchSpecs(t *testing.T, workers int) []Spec {
 		{Circuit: c5, Decoder: decoder.KindUnionFind, Shots: 3000, Rounds: 3, Seed: 22, Workers: workers},
 		{Circuit: c3hot, Prior: c3, Decoder: decoder.KindUnionFind, Shots: 4000, Rounds: 3, Seed: 33, Workers: workers},
 		{Circuit: c3hot, Decoder: decoder.KindUnionFind, Shots: 60000, Rounds: 3, Seed: 44, Workers: workers,
-			TargetFailures: 15, MinShots: 1024},
+			TargetFailures: 15},
 		{Circuit: c3, Decoder: decoder.KindGreedy, Shots: 2500, Rounds: 3, Seed: 55, Workers: workers},
 	}
 }
@@ -223,7 +223,7 @@ func TestBatchSpan(t *testing.T) {
 	c := memCircuit(t, 3, 3, 2e-2)
 	specs := []Spec{
 		{Circuit: c, Decoder: decoder.KindUnionFind, Shots: 2000, Seed: 1},
-		{Circuit: c, Decoder: decoder.KindUnionFind, Shots: 200000, Seed: 2, TargetFailures: 20, MinShots: 1024},
+		{Circuit: c, Decoder: decoder.KindUnionFind, Shots: 200000, Seed: 2, TargetFailures: 20},
 	}
 	if _, err := e.EvaluateBatch(ctx, specs); err != nil {
 		t.Fatal(err)

@@ -20,9 +20,8 @@
 //     decoder instances over its graph and frame simulators over its one
 //     compiled sim.Program.
 //   - Adaptive early stopping. Besides the fixed-shot mode, an evaluation
-//     can stop as soon as a target failure count is reached or the 95%
-//     Wilson interval is narrower than a target width, reporting the shots
-//     actually spent.
+//     can stop as soon as a target failure count is reached, reporting the
+//     shots actually spent.
 //
 // Determinism: shots are sharded into fixed-size chunks, each seeded by
 // splitting the caller's RNG in chunk order, and early-stop decisions are
@@ -101,12 +100,6 @@ type Spec struct {
 	// TargetFailures, when > 0, stops the evaluation once at least this
 	// many failures have been counted over the committed chunk prefix.
 	TargetFailures int
-	// TargetWilsonWidth, when > 0, stops once the 95% Wilson interval on
-	// the LER is narrower than this.
-	TargetWilsonWidth float64
-	// MinShots, when > 0, is a floor below which early stopping does not
-	// trigger.
-	MinShots int
 
 	// Progress, when non-nil, receives (shots committed, failures so far)
 	// as the committed chunk prefix advances. Calls are serialized — never
@@ -126,8 +119,8 @@ type Result struct {
 	// Requested is the shot budget asked for; Shots ≤ Requested when the
 	// evaluation stopped early.
 	Requested int
-	// EarlyStopped reports whether a TargetFailures / TargetWilsonWidth
-	// criterion ended the evaluation before the budget was spent.
+	// EarlyStopped reports whether TargetFailures ended the evaluation
+	// before the budget was spent.
 	EarlyStopped bool
 }
 
@@ -596,7 +589,7 @@ func (e *Engine) runStates(ctx context.Context, states []*evalState) error {
 						st.accFails += st.chunks[st.committed].failures
 						st.committed++
 						progressed = true
-						if st.spec.stopSatisfied(st.accShots, st.accFails) {
+						if st.spec.stopSatisfied(st.accFails) {
 							st.stopAt = st.committed
 							st.stopped = true
 							break
@@ -649,25 +642,10 @@ func (e *Engine) finish(st *evalState) Result {
 	}
 }
 
-// stopSatisfied reports whether an adaptive criterion ends the evaluation
-// after shots/failures have been committed.
-func (s *Spec) stopSatisfied(shots, failures int) bool {
-	if s.TargetFailures <= 0 && s.TargetWilsonWidth <= 0 {
-		return false
-	}
-	if shots < s.MinShots {
-		return false
-	}
-	if s.TargetFailures > 0 && failures >= s.TargetFailures {
-		return true
-	}
-	if s.TargetWilsonWidth > 0 {
-		lo, hi := rng.WilsonInterval(failures, shots)
-		if hi-lo <= s.TargetWilsonWidth {
-			return true
-		}
-	}
-	return false
+// stopSatisfied reports whether TargetFailures ends the evaluation after
+// failures have been committed.
+func (s *Spec) stopSatisfied(failures int) bool {
+	return s.TargetFailures > 0 && failures >= s.TargetFailures
 }
 
 // batchScratch is the per-chunk decode scratch: one syndrome list per shot

@@ -284,26 +284,6 @@ func TestEarlyStopTargetFailures(t *testing.T) {
 	}
 }
 
-// TestEarlyStopWilsonWidth: the interval-width criterion also stops early
-// and the reported interval satisfies the target.
-func TestEarlyStopWilsonWidth(t *testing.T) {
-	c := memCircuit(t, 3, 3, 1.5e-2)
-	e := New(Options{})
-	res := mustEval(t, e, Spec{
-		Circuit: c, Decoder: decoder.KindUnionFind, Shots: 400000, Rounds: 3,
-		Seed: 3, TargetWilsonWidth: 0.05, MinShots: 1024,
-	})
-	if !res.EarlyStopped {
-		t.Fatal("evaluation did not stop early")
-	}
-	if w := res.WilsonHi - res.WilsonLo; w > 0.05 {
-		t.Fatalf("stopped with interval width %.4g > target 0.05", w)
-	}
-	if res.Shots < 1024 {
-		t.Fatalf("stopped below MinShots: %d", res.Shots)
-	}
-}
-
 // TestProgressReporting: the callback sees monotonically non-decreasing
 // committed totals ending at the final result.
 func TestProgressReporting(t *testing.T) {

@@ -1,5 +1,6 @@
 // Deterministic drift estimators: fixed-point EWMA + one-sided Page/CUSUM
-// change detection, and Wilson confidence intervals for windowed rates.
+// change detection. Wilson confidence intervals for windowed rates come from
+// rng.WilsonInterval.
 //
 // The stream pipeline (internal/stream) feeds these per finalized frame
 // window, and the resulting drift events gate live calibration decisions —
@@ -110,33 +111,6 @@ func (e *RateEstimator) Trips() int64 { return e.trips }
 // LastTrip returns the 1-based window index of the most recent trip, 0 if
 // the estimator never tripped.
 func (e *RateEstimator) LastTrip() int64 { return e.lastTrip }
-
-// Wilson returns the Wilson score interval for a binomial proportion:
-// successes out of n at confidence z (z = 1.96 for 95%, 3 for ~99.7%).
-// Degenerate inputs (n <= 0) return (0, 1). The computation is a fixed
-// closed-form expression over two integers, so identical inputs produce
-// bit-identical bounds on every run — the property windowed-LER snapshots
-// rely on.
-func Wilson(successes, n int64, z float64) (lo, hi float64) {
-	if n <= 0 {
-		return 0, 1
-	}
-	nf := float64(n)
-	p := float64(successes) / nf
-	z2 := z * z
-	denom := 1 + z2/nf
-	center := p + z2/(2*nf)
-	margin := z * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf))
-	lo = (center - margin) / denom
-	hi = (center + margin) / denom
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
-}
 
 // Snapshot returns the histogram's current contents (empty on nil), the
 // same form Registry.Snapshot exports.

@@ -92,33 +92,6 @@ func TestRateEstimatorDeterminism(t *testing.T) {
 	}
 }
 
-func TestWilson(t *testing.T) {
-	lo, hi := Wilson(0, 0, 1.96)
-	if lo != 0 || hi != 1 {
-		t.Errorf("degenerate n=0: [%g, %g]", lo, hi)
-	}
-	lo, hi = Wilson(0, 100, 1.96)
-	if lo != 0 {
-		t.Errorf("0/100 lower bound %g, want 0", lo)
-	}
-	if hi < 0.01 || hi > 0.1 {
-		t.Errorf("0/100 upper bound %g outside a plausible range", hi)
-	}
-	lo, hi = Wilson(50, 100, 1.96)
-	if lo >= 0.5 || hi <= 0.5 {
-		t.Errorf("50/100 interval [%g, %g] does not bracket 0.5", lo, hi)
-	}
-	// ~95% interval at p=0.5, n=100 is roughly ±0.1.
-	if lo < 0.35 || lo > 0.45 || hi < 0.55 || hi > 0.65 {
-		t.Errorf("50/100 interval [%g, %g] has the wrong width", lo, hi)
-	}
-	// Monotone in n: more samples tighten the interval.
-	lo2, hi2 := Wilson(500, 1000, 1.96)
-	if hi2-lo2 >= hi-lo {
-		t.Errorf("interval did not tighten with n: %g vs %g", hi2-lo2, hi-lo)
-	}
-}
-
 func TestHistogramQuantile(t *testing.T) {
 	var h Histogram
 	if got := h.Quantile(0.99); got != 0 {

@@ -155,14 +155,41 @@ func TestExpDecayFit(t *testing.T) {
 	}
 }
 
+// TestWilsonInterval: the interval brackets the observed rate, has the
+// textbook width, tightens with n, and is exactly [0, ·] at k = 0 and
+// exactly [·, 1] at k = n for every n.
 func TestWilsonInterval(t *testing.T) {
-	lo, hi := WilsonInterval(50, 1000)
+	lo, hi := WilsonInterval(0, 0, 1.96)
+	if lo != 0 || hi != 1 {
+		t.Errorf("degenerate n=0: [%g, %g]", lo, hi)
+	}
+	lo, hi = WilsonInterval(50, 1000, 1.96)
 	if lo >= 0.05 || hi <= 0.05 {
 		t.Errorf("[%.4f, %.4f] should bracket 0.05", lo, hi)
 	}
-	lo, hi = WilsonInterval(0, 100)
-	if lo != 0 || hi <= 0 {
-		t.Errorf("zero-failure interval [%.4f, %.4f]", lo, hi)
+	lo, hi = WilsonInterval(0, 100, 1.96)
+	if lo != 0 || hi < 0.01 || hi > 0.1 {
+		t.Errorf("0/100 interval [%g, %g], want [0, 0.01..0.1]", lo, hi)
+	}
+	lo, hi = WilsonInterval(50, 100, 1.96)
+	// ~95% interval at p=0.5, n=100 is roughly ±0.1.
+	if lo < 0.35 || lo > 0.45 || hi < 0.55 || hi > 0.65 {
+		t.Errorf("50/100 interval [%g, %g] has the wrong width", lo, hi)
+	}
+	// Monotone in n: more samples tighten the interval.
+	lo2, hi2 := WilsonInterval(500, 1000, 1.96)
+	if hi2-lo2 >= hi-lo {
+		t.Errorf("interval did not tighten with n: %g vs %g", hi2-lo2, hi-lo)
+	}
+	for _, z := range []float64{1.96, 3} {
+		for n := int64(1); n <= 20000; n++ {
+			if lo, hi := WilsonInterval(0, n, z); lo != 0 || hi <= 0 || hi >= 1 {
+				t.Fatalf("z=%g: 0/%d interval [%g, %g], want lower bound exactly 0", z, n, lo, hi)
+			}
+			if lo, hi := WilsonInterval(n, n, z); hi != 1 || lo <= 0 || lo >= 1 {
+				t.Fatalf("z=%g: %d/%d interval [%g, %g], want upper bound exactly 1", z, n, n, lo, hi)
+			}
+		}
 	}
 }
 

@@ -104,25 +104,32 @@ func ExpDecayFit(x, y []float64) (amplitude, rate float64) {
 	return math.Exp(intercept), math.Exp(slope)
 }
 
-// WilsonInterval returns the Wilson score interval for a binomial proportion
-// with k successes out of n trials at ~95% confidence (z = 1.96). The
-// experiments report it alongside Monte-Carlo logical error rates.
-func WilsonInterval(k, n int) (lo, hi float64) {
-	if n == 0 {
+// WilsonInterval returns the Wilson score interval for a binomial
+// proportion: k successes out of n trials at confidence z (z = 1.96 for
+// 95%, 3 for ~99.7%). Degenerate inputs (n <= 0) return (0, 1). The bounds
+// are exactly 0 at k = 0 and exactly 1 at k = n. The computation is a fixed
+// closed-form expression over two integers, so identical inputs produce
+// bit-identical bounds on every run — the property windowed-LER snapshots
+// rely on.
+func WilsonInterval(k, n int64, z float64) (lo, hi float64) {
+	if n <= 0 {
 		return 0, 1
 	}
-	const z = 1.96
-	p := float64(k) / float64(n)
 	nf := float64(n)
-	den := 1 + z*z/nf
-	center := (p + z*z/(2*nf)) / den
-	half := z * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf)) / den
-	lo, hi = center-half, center+half
-	if lo < 0 {
+	p := float64(k) / nf
+	z2 := z * z
+	denom := 1 + z2/nf
+	center := p + z2/(2*nf)
+	margin := z * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf))
+	lo = (center - margin) / denom
+	hi = (center + margin) / denom
+	// At k = 0 (k = n) center and margin cancel exactly in real arithmetic
+	// but leave a rounding residue in floating point.
+	if k <= 0 || lo < 0 {
 		lo = 0
 	}
-	if hi > 1 {
+	if k >= n || hi > 1 {
 		hi = 1
 	}
-	return
+	return lo, hi
 }

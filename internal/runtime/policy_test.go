@@ -39,7 +39,7 @@ func TestCaliQECNeverExceedsPTar(t *testing.T) {
 		gates[i].weight = 1
 	}
 	pol.init(context.Background(), sim, gates)
-	for tt := 0.0; tt < 20; tt += cfg.StepHours {
+	for tt := 0.0; tt < 20; tt += stepHours {
 		pol.step(sim, gates, tt)
 		for i := range gates {
 			p := gates[i].drift.At(tt - gates[i].last)
@@ -60,7 +60,7 @@ func TestLSCPeriodBoundedByCapacity(t *testing.T) {
 	cfg := testConfig()
 	cfg.fill()
 	pol := newPolicyLSC(&cfg, 2e-3)
-	wantMin := float64(cfg.Prog.LogicalQubits) * cfg.LSCOutageHours / (0.9 * float64(cfg.Prog.LogicalQubits) / 12)
+	wantMin := float64(cfg.Prog.LogicalQubits) * lscOutageHours / (0.9 * float64(cfg.Prog.LogicalQubits) / 12)
 	if pol.period < wantMin-1e-9 {
 		t.Errorf("LSC period %.3f below the capacity bound %.3f", pol.period, wantMin)
 	}

@@ -64,67 +64,56 @@ type Config struct {
 	// RetryTarget is the program-level retry-risk budget used to derive
 	// p_tar (Table 2 uses 1% and 0.1%).
 	RetryTarget float64
-	// DeltaD is CaliQEC's maximum tolerable distance loss (§7.3: 4).
+	// DeltaD is CaliQEC's maximum tolerable distance loss (default
+	// sched.DefaultDeltaD).
 	DeltaD int
-	// LERModel are the Eq. (4) constants; zero value uses the paper's.
-	LERModel ler.Model
-	// GatesPerPatch is how many calibratable gates one logical patch
-	// carries; 0 derives it from the layout (≈ 3 per data site: one 1Q
-	// gate per qubit plus couplers).
-	GatesPerPatch int
-	// SamplePatches caps how many patches are simulated explicitly
-	// (default 24).
-	SamplePatches int
-	// SampleGates caps how many gates are simulated per patch (default
-	// 512). The unsampled remainder's fastest drifters are drawn via order
-	// statistics so coarse-grained (min-deadline) behaviour is preserved.
-	SampleGates int
-	// StepHours is the simulation time step (default 0.25).
-	StepHours float64
-	// LSCOutageHours is the per-event unavailability of a parked patch:
-	// two logical state transfers plus the due gates' calibration
-	// (default 0.15 h).
-	LSCOutageHours float64
-	// LSCLookaheadHours batches a parked patch's calibrations: every gate
-	// due within this window is calibrated during one park (default 1.0).
-	LSCLookaheadHours float64
-	// LSCStallFactor converts parked-patch fraction into critical-path
-	// stall (default 0.45; <1 because the compiler reorders around parked
-	// qubits).
-	LSCStallFactor float64
-	Seed           uint64
+	Seed   uint64
 }
 
 func (c *Config) fill() {
 	if c.DeltaD == 0 {
-		c.DeltaD = 4
-	}
-	if c.LERModel == (ler.Model{}) {
-		c.LERModel = ler.PaperModel()
-	}
-	if c.SamplePatches == 0 {
-		c.SamplePatches = 24
-	}
-	if c.SampleGates == 0 {
-		c.SampleGates = 512
-	}
-	defaultFloat(&c.StepHours, 0.25)
-	defaultFloat(&c.LSCOutageHours, 0.15)
-	defaultFloat(&c.LSCLookaheadHours, 1.0)
-	defaultFloat(&c.LSCStallFactor, 0.45)
-	if c.GatesPerPatch == 0 {
-		c.GatesPerPatch = 3 * c.D * c.D
+		c.DeltaD = sched.DefaultDeltaD
 	}
 	if c.Model.MeanHours == 0 { //lint:allow floateq zero MeanHours marks an unset noise model, an exact sentinel
 		c.Model = noise.CurrentModel()
 	}
 }
 
-// defaultFloat assigns d to *v when the field was left at its zero value.
-func defaultFloat(v *float64, d float64) {
-	if *v == 0 { //lint:allow floateq the zero value means "unset", an exact sentinel never produced by arithmetic
-		*v = d
+// Simulation constants. Eq. (4) uses ler.PaperModel() throughout.
+const (
+	// stepHours is the simulation time step of programs up to
+	// longHorizonHours long; samplePatches is how many patches those runs
+	// simulate explicitly.
+	stepHours     = 0.25
+	samplePatches = 24
+	// Programs longer than longHorizonHours run longSteps steps over
+	// longSamplePatches patches, which bounds the work of multi-week
+	// programs.
+	longHorizonHours  = 200
+	longSteps         = 600
+	longSamplePatches = 12
+	// sampleGates caps how many gates are simulated per patch. The
+	// unsampled remainder's fastest drifters are drawn via order
+	// statistics so coarse-grained (min-deadline) behaviour is preserved.
+	sampleGates = 512
+	// lscOutageHours is the per-event unavailability of a parked patch:
+	// two logical state transfers plus the due gates' calibration.
+	lscOutageHours = 0.15
+	// lscLookaheadHours batches a parked patch's calibrations: every gate
+	// due within this window is calibrated during one park.
+	lscLookaheadHours = 1.0
+	// lscStallFactor converts parked-patch fraction into critical-path
+	// stall (<1 because the compiler reorders around parked qubits).
+	lscStallFactor = 0.45
+)
+
+// resolution returns the time step and the number of explicitly simulated
+// patches for a program of the given length in hours.
+func resolution(horizon float64) (step float64, patches int) {
+	if horizon > longHorizonHours {
+		return horizon / longSteps, longSamplePatches
 	}
+	return stepHours, samplePatches
 }
 
 // Result summarizes one strategy run.
@@ -154,13 +143,14 @@ func (r Result) String() string {
 func PTarFor(cfg *Config) (float64, error) {
 	vol := cfg.Prog.LogicalOps() * float64(cfg.D)
 	lerTar := cfg.RetryTarget / vol
-	p := cfg.LERModel.PTarget(cfg.D, lerTar)
+	m := ler.PaperModel()
+	p := m.PTarget(cfg.D, lerTar)
 	if p <= noise.InitialErrorRate*1.02 {
 		return 0, fmt.Errorf("runtime: d=%d leaves no drift headroom (p_tar=%.4g vs p0=%.4g)",
 			cfg.D, p, noise.InitialErrorRate)
 	}
-	if p >= cfg.LERModel.Pth {
-		p = cfg.LERModel.Pth * 0.99
+	if p >= m.Pth {
+		p = m.Pth * 0.99
 	}
 	return p, nil
 }
@@ -171,9 +161,11 @@ func lnParams(m noise.Model) (mu, sigma float64) {
 	return
 }
 
-// Run evaluates one strategy. The context cancels the patch simulation
-// between time steps and carries the optional obs tracer; retry risk and
-// calibration volume land in the obs.Default registry as
+// Run evaluates one strategy. The simulation resolution follows the
+// program length: programs over 200 h run 600 steps over 12 sampled
+// patches, shorter ones 0.25 h steps over 24. The context cancels the
+// patch simulation between time steps and carries the optional obs tracer;
+// retry risk and calibration volume land in the obs.Default registry as
 // runtime.retry_risk.<strategy> / runtime.calibrations.<strategy> gauges.
 func Run(ctx context.Context, cfg Config, strat Strategy) (*Result, error) {
 	cfg.fill()
@@ -214,7 +206,7 @@ func Run(ctx context.Context, cfg Config, strat Strategy) (*Result, error) {
 		// Execution-time overhead: stalls proportional to the fraction of
 		// the logical plane parked at any time.
 		parkedFrac := pol.outageHours * sim.patchScale / (execBase * float64(cfg.Prog.LogicalQubits))
-		res.ExecHours = execBase * (1 + cfg.LSCStallFactor*parkedFrac)
+		res.ExecHours = execBase * (1 + lscStallFactor*parkedFrac)
 	}
 	if err != nil {
 		return nil, err
@@ -248,10 +240,11 @@ type simulator struct {
 	cfg        *Config
 	r          *rng.RNG
 	horizon    float64
+	step       float64 // simulation time step, hours
 	pTar       float64
+	fullGates  int // gates per real patch
 	nPatches   int
 	nGates     int
-	gateScale  float64
 	patchScale float64
 
 	// risk accounting
@@ -263,20 +256,17 @@ type simulator struct {
 }
 
 func newSimulator(cfg *Config, r *rng.RNG, horizon, pTar float64) *simulator {
-	nPatches := cfg.SamplePatches
-	if cfg.Prog.LogicalQubits < nPatches {
-		nPatches = cfg.Prog.LogicalQubits
-	}
-	nGates := cfg.SampleGates
-	if cfg.GatesPerPatch < nGates {
-		nGates = cfg.GatesPerPatch
-	}
-	steps := math.Ceil(horizon / cfg.StepHours)
+	step, nPatches := resolution(horizon)
+	nPatches = min(nPatches, cfg.Prog.LogicalQubits)
+	// A distance-d patch carries about 3 calibratable gates per data
+	// site: one 1Q gate per qubit plus couplers.
+	fullGates := 3 * cfg.D * cfg.D
+	nGates := min(sampleGates, fullGates)
+	steps := math.Ceil(horizon / step)
 	vol := cfg.Prog.LogicalOps() * float64(cfg.D)
 	return &simulator{
-		cfg: cfg, r: r, horizon: horizon, pTar: pTar,
-		nPatches: nPatches, nGates: nGates,
-		gateScale:  float64(cfg.GatesPerPatch) / float64(nGates),
+		cfg: cfg, r: r, horizon: horizon, step: step, pTar: pTar,
+		fullGates: fullGates, nPatches: nPatches, nGates: nGates,
 		patchScale: float64(cfg.Prog.LogicalQubits) / float64(nPatches),
 		volPerStep: vol / (float64(nPatches) * steps),
 	}
@@ -294,7 +284,7 @@ type policy interface {
 
 func (s *simulator) run(ctx context.Context, pol policy) error {
 	mu, sigma := lnParams(s.cfg.Model)
-	full := s.cfg.GatesPerPatch
+	full := s.fullGates
 	tail := tailExact
 	if tail > full/2 || tail > s.nGates/2 {
 		tail = 0 // small patches: plain sampling suffices
@@ -323,7 +313,7 @@ func (s *simulator) run(ctx context.Context, pol policy) error {
 			}
 		}
 		pol.init(ctx, s, gates)
-		for t := 0.0; t < s.horizon; t += s.cfg.StepHours {
+		for t := 0.0; t < s.horizon; t += s.step {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -352,9 +342,10 @@ func (s *simulator) run(ctx context.Context, pol policy) error {
 const hotSaturation = 1e3
 
 func (s *simulator) accumulate(gates []gateState, t float64) {
+	m := ler.PaperModel()
 	lim := 1.0
 	if s.pTar > 0 {
-		lim = hotSaturation * s.cfg.LERModel.PerCycle(s.cfg.D, s.pTar)
+		lim = hotSaturation * m.PerCycle(s.cfg.D, s.pTar)
 	}
 	sum, wsum, pm := 0.0, 0.0, 0.0
 	for i := range gates {
@@ -363,7 +354,7 @@ func (s *simulator) accumulate(gates []gateState, t float64) {
 			dt = 0 // calibration completes later this step
 		}
 		p := gates[i].drift.At(dt)
-		lg := s.cfg.LERModel.PerCycle(s.cfg.D, p)
+		lg := m.PerCycle(s.cfg.D, p)
 		// The saturation bound models a decoder-blind hot spot in an
 		// otherwise working code: local damage is capped.
 		if lg > lim {
@@ -378,7 +369,7 @@ func (s *simulator) accumulate(gates []gateState, t float64) {
 	// plus whole-patch failure when the average rate itself approaches
 	// threshold (the no-calibration endgame), whichever dominates.
 	l := sum / wsum
-	if bulk := s.cfg.LERModel.PerCycle(s.cfg.D, pm/wsum); bulk > l {
+	if bulk := m.PerCycle(s.cfg.D, pm/wsum); bulk > l {
 		l = bulk
 	}
 	if l > 1-1e-12 {
@@ -480,7 +471,6 @@ func (p *policyCaliQEC) step(s *simulator, gates []gateState, t float64) {
 // period cyclically exceed p_tar between parks, inflating the retry risk,
 // while the parks themselves stall execution.
 type policyLSC struct {
-	cfg         *Config
 	pTar        float64
 	period      float64 // capacity-limited minimum park period per patch
 	nextPark    float64
@@ -495,11 +485,11 @@ func newPolicyLSC(cfg *Config, pTar float64) *policyLSC {
 	if capacity < 1 {
 		capacity = 1
 	}
-	period := float64(cfg.Prog.LogicalQubits) * cfg.LSCOutageHours / (0.9 * capacity)
-	if period < cfg.LSCLookaheadHours {
-		period = cfg.LSCLookaheadHours
+	period := float64(cfg.Prog.LogicalQubits) * lscOutageHours / (0.9 * capacity)
+	if period < lscLookaheadHours {
+		period = lscLookaheadHours
 	}
-	return &policyLSC{cfg: cfg, pTar: pTar, period: period, utilization: 0.9}
+	return &policyLSC{pTar: pTar, period: period, utilization: 0.9}
 }
 
 func (p *policyLSC) init(ctx context.Context, s *simulator, gates []gateState) { p.nextPark = 0 }
@@ -521,7 +511,7 @@ func (p *policyLSC) step(s *simulator, gates []gateState, t float64) {
 		return
 	}
 	// Residual queueing delay at ~90% utilization (M/M/1-ish residual).
-	delay := p.cfg.LSCOutageHours * p.utilization / (1 - p.utilization) * s.r.Float64()
+	delay := lscOutageHours * p.utilization / (1 - p.utilization) * s.r.Float64()
 	tCal := t + delay
 	// Coarse-grained batch: calibrate everything that would come due
 	// before the next park.
@@ -531,6 +521,6 @@ func (p *policyLSC) step(s *simulator, gates []gateState, t float64) {
 			s.cals += gates[i].weight
 		}
 	}
-	p.outageHours += p.cfg.LSCOutageHours + delay
+	p.outageHours += lscOutageHours + delay
 	p.nextPark = tCal + p.period
 }

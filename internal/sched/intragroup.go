@@ -35,6 +35,11 @@ type Batch struct {
 	DistanceLoss int
 }
 
+// DefaultDeltaD is the maximum tolerable distance loss during calibration,
+// Δd = 4 (paper §7.3): "four single-qubit isolations or the isolation of a
+// larger region with a diameter of 4".
+const DefaultDeltaD = 4
+
 // Schedule is an ordered list of batches executed within one calibration
 // interval.
 type Schedule struct {
@@ -69,19 +74,11 @@ func (s *Schedule) SpaceTimeCost() float64 {
 	return float64(s.MaxLoss()) * s.TotalHours()
 }
 
-// Conflicter reports whether two tasks cannot be calibrated concurrently
-// (the crosstalk constraint |C_t| ≤ 1 of §5.1).
-type Conflicter interface {
-	Conflicts(a, b *Task) bool
-}
-
-// RegionOverlapConflicts declares tasks conflicting when their isolation
-// regions share a qubit — calibration pulses on one would disturb the
-// other's target.
-type RegionOverlapConflicts struct{}
-
-// Conflicts implements Conflicter.
-func (RegionOverlapConflicts) Conflicts(a, b *Task) bool {
+// regionsOverlap reports whether two tasks' isolation regions share a
+// qubit: calibration pulses on one would disturb the other's target, so the
+// two cannot be calibrated concurrently (the crosstalk constraint |C_t| ≤ 1
+// of §5.1).
+func regionsOverlap(a, b *Task) bool {
 	set := map[int]bool{}
 	for _, q := range a.Region {
 		set[q] = true
@@ -95,10 +92,9 @@ func (RegionOverlapConflicts) Conflicts(a, b *Task) bool {
 }
 
 // LossEstimator maps a set of concurrently isolated regions to the
-// worst-case code distance loss. internal/runtime provides an exact
-// deformation-backed implementation; DiameterLoss is the fast geometric
-// default (the paper's "four single-qubit isolations or one region of
-// diameter 4" budgeting, §7.3).
+// worst-case code distance loss. DiameterLoss is the geometric default;
+// SumDiameterLoss is the paper's additive "four single-qubit isolations or
+// one region of diameter 4" budgeting (§7.3).
 type LossEstimator interface {
 	Loss(regions [][]int) int
 }
@@ -295,12 +291,10 @@ func ClusterDependent(tasks []Task) []Task {
 	return out
 }
 
-// BuildSchedule packs tasks into batches under a strategy. For
-// StrategyAdaptive, maxDeltaD bounds the Δd sweep (the paper uses 4).
-func BuildSchedule(tasks []Task, strat Strategy, conflict Conflicter, loss LossEstimator, maxDeltaD int) (*Schedule, error) {
-	if conflict == nil {
-		conflict = RegionOverlapConflicts{}
-	}
+// BuildSchedule packs tasks into batches under a strategy; tasks whose
+// isolation regions overlap never share a batch. For StrategyAdaptive,
+// maxDeltaD bounds the Δd sweep (below 1 selects DefaultDeltaD).
+func BuildSchedule(tasks []Task, strat Strategy, loss LossEstimator, maxDeltaD int) (*Schedule, error) {
 	if loss == nil {
 		loss = DiameterLoss{}
 	}
@@ -316,14 +310,14 @@ func BuildSchedule(tasks []Task, strat Strategy, conflict Conflicter, loss LossE
 		}
 		return s, nil
 	case StrategyBulk:
-		return greedyPack(tasks, conflict, loss, math.MaxInt32), nil
+		return greedyPack(tasks, loss, math.MaxInt32), nil
 	case StrategyAdaptive:
 		if maxDeltaD < 1 {
-			maxDeltaD = 4
+			maxDeltaD = DefaultDeltaD
 		}
 		var best *Schedule
 		for dd := 1; dd <= maxDeltaD; dd++ {
-			s := greedyPack(tasks, conflict, loss, dd)
+			s := greedyPack(tasks, loss, dd)
 			if best == nil || s.SpaceTimeCost() < best.SpaceTimeCost() {
 				best = s
 			}
@@ -336,7 +330,7 @@ func BuildSchedule(tasks []Task, strat Strategy, conflict Conflicter, loss LossE
 // greedyPack implements §5.3(2): sort tasks by region size descending,
 // repeatedly open a batch and add every task that neither conflicts with
 // the batch nor pushes its distance loss beyond maxLoss.
-func greedyPack(tasks []Task, conflict Conflicter, loss LossEstimator, maxLoss int) *Schedule {
+func greedyPack(tasks []Task, loss LossEstimator, maxLoss int) *Schedule {
 	pending := append([]Task(nil), tasks...)
 	sort.SliceStable(pending, func(i, j int) bool {
 		return len(pending[i].Region) > len(pending[j].Region)
@@ -353,7 +347,7 @@ func greedyPack(tasks []Task, conflict Conflicter, loss LossEstimator, maxLoss i
 			}
 			ok := true
 			for bi := range b.Tasks {
-				if conflict.Conflicts(&pending[i], &b.Tasks[bi]) {
+				if regionsOverlap(&pending[i], &b.Tasks[bi]) {
 					ok = false
 					break
 				}

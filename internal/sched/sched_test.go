@@ -160,7 +160,7 @@ func mkTasks() []Task {
 }
 
 func TestSequentialSchedule(t *testing.T) {
-	s, err := BuildSchedule(mkTasks(), StrategySequential, nil, nil, 0)
+	s, err := BuildSchedule(mkTasks(), StrategySequential, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestSequentialSchedule(t *testing.T) {
 }
 
 func TestBulkScheduleRespectsCrosstalk(t *testing.T) {
-	s, err := BuildSchedule(mkTasks(), StrategyBulk, nil, nil, 0)
+	s, err := BuildSchedule(mkTasks(), StrategyBulk, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,9 +202,9 @@ func TestBulkScheduleRespectsCrosstalk(t *testing.T) {
 // (§8.2.3's 2.89×/3.8× improvements have this as their qualitative core).
 func TestAdaptiveBeatsBoth(t *testing.T) {
 	tasks := mkTasks()
-	seq, _ := BuildSchedule(tasks, StrategySequential, nil, nil, 0)
-	bulk, _ := BuildSchedule(tasks, StrategyBulk, nil, nil, 0)
-	adp, err := BuildSchedule(tasks, StrategyAdaptive, nil, nil, 4)
+	seq, _ := BuildSchedule(tasks, StrategySequential, nil, 0)
+	bulk, _ := BuildSchedule(tasks, StrategyBulk, nil, 0)
+	adp, err := BuildSchedule(tasks, StrategyAdaptive, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

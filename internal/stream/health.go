@@ -2,6 +2,7 @@ package stream
 
 import (
 	"caliqec/internal/obs"
+	"caliqec/internal/rng"
 	"encoding/json"
 	"net/http"
 	"sort"
@@ -419,8 +420,8 @@ func (m *Monitor) finalizeWindow(b *windowBucket, wsize int64) {
 		m.baseFail += int64(b.failures)
 		m.baseN += wsize
 	} else {
-		_, baseHi := obs.Wilson(m.baseFail, m.baseN, m.cfg.LERZ)
-		wLo, _ := obs.Wilson(int64(b.failures), wsize, m.cfg.LERZ)
+		_, baseHi := rng.WilsonInterval(m.baseFail, m.baseN, m.cfg.LERZ)
+		wLo, _ := rng.WilsonInterval(int64(b.failures), wsize, m.cfg.LERZ)
 		if wLo > baseHi {
 			sev := SeverityWarn
 			if wLo > 2*baseHi {
@@ -514,7 +515,7 @@ func (m *Monitor) Snapshot() HealthSnapshot {
 	}
 	if m.frames > 0 {
 		s.LER = float64(m.failures) / float64(m.frames)
-		s.LERLo, s.LERHi = obs.Wilson(m.failures, m.frames, m.cfg.LERZ)
+		s.LERLo, s.LERHi = rng.WilsonInterval(m.failures, m.frames, m.cfg.LERZ)
 	}
 	if m.baseN > 0 {
 		s.BaselineLER = float64(m.baseFail) / float64(m.baseN)
